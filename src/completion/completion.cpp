@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -132,65 +131,18 @@ CompletionResult complete_tensor(const SparseTensor& train,
     }
   }
 
-  ResilienceContext rctx(options.resilience, "completion", options.seed);
-  int it = 0;
-  double best_val = std::numeric_limits<double>::infinity();
-  std::vector<la::Matrix> best_factors;
-  std::optional<Checkpoint> resume_ck = rctx.try_resume();
-  if (resume_ck) {
-    SPTD_CHECK(resume_ck->factors.size() == static_cast<std::size_t>(order),
-               "completion resume: checkpoint order mismatch");
-    for (int m = 0; m < order; ++m) {
-      const la::Matrix& f = resume_ck->factors[static_cast<std::size_t>(m)];
-      SPTD_CHECK(f.rows() == train.dim(m) && f.cols() == options.rank,
-                 "completion resume: checkpoint factor shape mismatch");
-    }
-    model.factors = std::move(resume_ck->factors);
-    best_factors = std::move(resume_ck->aux_factors);
-    if (const std::vector<double>* tr = resume_ck->find_series("train_rmse")) {
-      result.train_rmse = *tr;
-      double best_loss = std::numeric_limits<double>::infinity();
-      for (const double r : *tr) best_loss = std::min(best_loss, r);
-      rctx.health().seed_trend(best_loss);
-    }
-    if (const std::vector<double>* vr = resume_ck->find_series("val_rmse")) {
-      result.val_rmse = *vr;
-    }
-    best_val = resume_ck->scalar("best_val",
-                                 std::numeric_limits<double>::infinity());
-    result.best_iteration =
-        static_cast<int>(resume_ck->scalar("best_iteration", 0.0));
-    it = resume_ck->iteration;
-    result.iterations = it;
-  }
-
   const std::unique_ptr<CompletionSolver> solver =
       make_completion_solver(workspace);
   solver->begin(model);
-  if (resume_ck) {
-    if (const std::vector<double>* st =
-            resume_ck->find_series("solver_state")) {
-      solver->restore_state(*st);
-    }
-  }
 
-  const bool guard = rctx.health().enabled();
-  struct GoodState {
-    std::vector<la::Matrix> factors;
-    std::vector<double> train_rmse;
-    std::vector<double> val_rmse;
-    std::vector<la::Matrix> best_factors;
-    double best_val = std::numeric_limits<double>::infinity();
-    int best_iteration = 0;
-    int iteration = 0;
-  } good;
-  if (guard) {
-    good = {model.factors, result.train_rmse, result.val_rmse,
-            best_factors, best_val, result.best_iteration, it};
-  }
+  double train_err = 0.0;
+  double best_val = std::numeric_limits<double>::infinity();
+  std::vector<la::Matrix> best_factors;
 
-  bool stopped = false;
-  while (it < options.max_iterations && !stopped) {
+  IterationHooks hooks;
+  hooks.factors = &model.factors;
+  hooks.lambda = &model.lambda;
+  hooks.sweep = [&](int it) {
     solver->run_epoch(model, it);
     if (options.precision == Precision::kF32) {
       // Pure-f32 ablation endpoint: the factors carry only fp32
@@ -205,95 +157,84 @@ CompletionResult complete_tensor(const SparseTensor& train,
         solver->begin(model);
       }
     }
-
-    if (FaultInjector* inj = rctx.injector()) {
-      if (inj->corrupt_factors(model.factors, it) > 0 &&
-          options.algorithm == CompletionAlgorithm::kCcd) {
-        // Keep the residual consistent with the (now corrupt) model, as a
-        // real soft error would: the health scan below must still catch it.
-        solver->begin(model);
-      }
+  };
+  hooks.loss = [&](int, bool corrupted) {
+    if (corrupted && options.algorithm == CompletionAlgorithm::kCcd) {
+      // Keep the residual consistent with the (now corrupt) model, as a
+      // real soft error would: the health scan must still catch it.
+      solver->begin(model);
     }
-
-    const double train_err =
-        rmse(train, model, nthreads, options.use_fixed_kernels);
-
-    if (guard) {
-      const HealthIssue issue =
-          rctx.health().inspect(model.factors, model.lambda, train_err);
-      if (issue != HealthIssue::kNone) {
-        rctx.fail_or_retry(issue, it);  // throws when retries are exhausted
-        model.factors = good.factors;
-        result.train_rmse = good.train_rmse;
-        result.val_rmse = good.val_rmse;
-        best_factors = good.best_factors;
-        best_val = good.best_val;
-        result.best_iteration = good.best_iteration;
-        it = good.iteration;
-        perturb_factors(model.factors, rctx.recovery_rng());
-        if (options.precision == Precision::kF32) {
-          for (la::Matrix& factor : model.factors) {
-            la::round_through_f32(factor);
-          }
-        }
-        // Rebuild solver state (CCD++'s residual) from the restored model.
-        solver->begin(model);
-        continue;
-      }
-      rctx.note_healthy();
-    }
-
+    train_err = rmse(train, model, nthreads, options.use_fixed_kernels);
+    return train_err;
+  };
+  hooks.accept = [&](int it) {
     result.train_rmse.push_back(train_err);
-    result.iterations = it + 1;
-    if (validation != nullptr && validation->nnz() > 0) {
-      const double v =
-          rmse(*validation, model, nthreads, options.use_fixed_kernels);
-      result.val_rmse.push_back(v);
-      const double prev_best = best_val;
-      if (v < best_val) {
-        // Track the best-validation model (SPLATT's ws->best_model): the
-        // returned factors must come from the argmin iteration, not from
-        // whatever iteration the stopping rule happens to exit on.
-        best_val = v;
-        result.best_iteration = it + 1;
-        best_factors = model.factors;
+    if (validation == nullptr || validation->nnz() == 0) return false;
+    const double v =
+        rmse(*validation, model, nthreads, options.use_fixed_kernels);
+    result.val_rmse.push_back(v);
+    const double prev_best = best_val;
+    if (v < best_val) {
+      // Track the best-validation model (SPLATT's ws->best_model): the
+      // returned factors must come from the argmin iteration, not from
+      // whatever iteration the stopping rule happens to exit on.
+      best_val = v;
+      result.best_iteration = it + 1;
+      best_factors = model.factors;
+    }
+    // Stop once the validation error stops improving.
+    return options.tolerance > 0.0 && it > 0 &&
+           v > prev_best - options.tolerance;
+  };
+  hooks.save = [&](Checkpoint& ck) {
+    ck.factors = model.factors;
+    ck.aux_factors = best_factors;
+    ck.set_series("train_rmse", result.train_rmse);
+    ck.set_series("val_rmse", result.val_rmse);
+    ck.set_scalar("best_val", best_val);
+    ck.set_scalar("best_iteration", result.best_iteration);
+    solver->serialize_state(ck.series_ref("solver_state"));
+  };
+  hooks.restore = [&](const Checkpoint& ck) {
+    ck.check_factor_shapes(train.dims(), dims_t(order, options.rank),
+                           "completion");
+    model.factors = ck.factors;
+    best_factors = ck.aux_factors;
+    const std::vector<double>* tr = ck.find_series("train_rmse");
+    result.train_rmse = tr ? *tr : std::vector<double>{};
+    const std::vector<double>* vr = ck.find_series("val_rmse");
+    result.val_rmse = vr ? *vr : std::vector<double>{};
+    best_val =
+        ck.scalar("best_val", std::numeric_limits<double>::infinity());
+    result.best_iteration = static_cast<int>(ck.scalar("best_iteration", 0));
+    solver->begin(model);
+    if (const std::vector<double>* st = ck.find_series("solver_state")) {
+      solver->restore_state(*st);
+    }
+  };
+  hooks.best_loss = [&] {
+    double best = std::numeric_limits<double>::infinity();
+    for (const double r : result.train_rmse) best = std::min(best, r);
+    return best;
+  };
+  hooks.after_perturb = [&] {
+    if (options.precision == Precision::kF32) {
+      for (la::Matrix& factor : model.factors) {
+        la::round_through_f32(factor);
       }
-      if (options.tolerance > 0.0 && it > 0 &&
-          v > prev_best - options.tolerance) {
-        stopped = true;  // validation error stopped improving
-      }
     }
-    ++it;
+    // Rebuild CCD++'s residual from the jittered model.
+    solver->begin(model);
+  };
 
-    if (guard) {
-      good.factors = model.factors;
-      good.train_rmse = result.train_rmse;
-      good.val_rmse = result.val_rmse;
-      good.best_factors = best_factors;
-      good.best_val = best_val;
-      good.best_iteration = result.best_iteration;
-      good.iteration = it;
-    }
-
-    if (!stopped && it < options.max_iterations && rctx.checkpoint_due(it)) {
-      Checkpoint ck;
-      ck.iteration = it;
-      ck.factors = model.factors;
-      ck.aux_factors = best_factors;
-      ck.set_series("train_rmse", result.train_rmse);
-      ck.set_series("val_rmse", result.val_rmse);
-      ck.set_scalar("best_val", best_val);
-      ck.set_scalar("best_iteration", result.best_iteration);
-      ck.set_series("solver_state", solver->serialize_state());
-      rctx.save_checkpoint(std::move(ck));
-    }
-  }
+  ResilienceContext rctx(options.resilience, "completion", options.seed);
+  result.iterations = run_iterations(rctx, hooks, options.max_iterations,
+                                     result.resilience);
   if (!best_factors.empty()) {
     model.factors = std::move(best_factors);
   } else {
     result.best_iteration = result.iterations;
   }
-  rctx.finish(result.resilience);
   return result;
 }
 

@@ -37,12 +37,13 @@ class CompletionSolver {
   /// per-epoch shuffle seeds from it).
   virtual void run_epoch(KruskalModel& model, int epoch) = 0;
 
-  /// Solver-private state that must ride a checkpoint for bitwise resume.
-  /// ALS and SGD are stateless between epochs (SGD reshuffles per
-  /// (seed, epoch)); CCD++ returns its incrementally maintained residual,
-  /// which a recompute would only match to rounding error. Default: none.
-  [[nodiscard]] virtual std::vector<double> serialize_state() const {
-    return {};
+  /// Writes the solver-private state that must ride a checkpoint (and the
+  /// rollback snapshot) for bitwise resume into \p out, reusing its
+  /// storage. ALS is stateless between epochs; SGD carries its stratum
+  /// permutation; CCD++ its incrementally maintained residual, which a
+  /// recompute would only match to rounding error. Default: none.
+  virtual void serialize_state(std::vector<double>& out) const {
+    out.clear();
   }
 
   /// Restores state captured by serialize_state(). Called after begin().

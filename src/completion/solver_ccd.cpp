@@ -47,9 +47,9 @@ class CcdSolver final : public CompletionSolver {
   /// run must see the exact array the interrupted run carried, not a
   /// recompute (which differs in the low bits and would break bitwise
   /// resume).
-  [[nodiscard]] std::vector<double> serialize_state() const override {
+  void serialize_state(std::vector<double>& out) const override {
     const aligned_vector<val_t>& res = ws_.residual();
-    return std::vector<double>(res.begin(), res.end());
+    out.assign(res.begin(), res.end());
   }
 
   void restore_state(const std::vector<double>& state) override {

@@ -110,9 +110,9 @@ class SgdSolver final : public CompletionSolver {
   /// That permutation is therefore solver state: a resume must restore it,
   /// or the first recomputed epoch shuffles from the canonical bucketed
   /// order and the trajectory silently diverges from the unkilled run.
-  [[nodiscard]] std::vector<double> serialize_state() const override {
+  void serialize_state(std::vector<double>& out) const override {
     const std::vector<nnz_t>& ids = ws_.strata().cell_ids;
-    return std::vector<double>(ids.begin(), ids.end());
+    out.assign(ids.begin(), ids.end());
   }
 
   void restore_state(const std::vector<double>& state) override {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -132,50 +130,23 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
         la::Matrix::random(dims[static_cast<std::size_t>(m)], rank, rng));
   }
 
-  ResilienceContext rctx(options.resilience, "cpals", options.seed);
-  int it = 0;
-  double prev_fit = 0.0;
-  if (std::optional<Checkpoint> ck = rctx.try_resume()) {
-    SPTD_CHECK(ck->factors.size() == static_cast<std::size_t>(order),
-               "cpals resume: checkpoint order mismatch");
-    for (int m = 0; m < order; ++m) {
-      const la::Matrix& f = ck->factors[static_cast<std::size_t>(m)];
-      SPTD_CHECK(f.rows() == dims[static_cast<std::size_t>(m)] &&
-                     f.cols() == rank,
-                 "cpals resume: checkpoint factor shape mismatch");
-    }
-    const std::vector<double>* lam = ck->find_series("lambda");
-    SPTD_CHECK(lam != nullptr && lam->size() == rank,
-               "cpals resume: checkpoint lambda mismatch");
-    model.factors = std::move(ck->factors);
-    for (idx_t r = 0; r < rank; ++r) {
-      model.lambda[r] = static_cast<val_t>((*lam)[r]);
-    }
-    if (const std::vector<double>* fh = ck->find_series("fit_history")) {
-      result.fit_history = *fh;
-      double best_loss = std::numeric_limits<double>::infinity();
-      for (const double f : *fh) {
-        best_loss = std::min(best_loss, 1.0 - f);
-      }
-      rctx.health().seed_trend(best_loss);
-    }
-    prev_fit = ck->scalar("prev_fit", 0.0);
-    it = ck->iteration;
-    result.iterations = it;
-  }
-
-  // Gram matrices A^T A for every mode. On resume these are recomputed
-  // from the restored factors — la::ata is deterministic, so they match
-  // the uninterrupted run's Grams bitwise.
+  // Gram matrices A^T A for every mode. A restore recomputes them from the
+  // installed factors — la::ata is deterministic, so they match the
+  // uninterrupted run's Grams bitwise.
   std::vector<la::Matrix> grams;
   grams.reserve(static_cast<std::size_t>(order));
-  timers.start(Routine::kMatAtA);
   for (int m = 0; m < order; ++m) {
     grams.emplace_back(rank, rank);
-    la::ata(model.factors[static_cast<std::size_t>(m)],
-            grams[static_cast<std::size_t>(m)], nthreads);
   }
-  timers.stop(Routine::kMatAtA);
+  const auto refresh_grams = [&] {
+    timers.start(Routine::kMatAtA);
+    for (int m = 0; m < order; ++m) {
+      la::ata(model.factors[static_cast<std::size_t>(m)],
+              grams[static_cast<std::size_t>(m)], nthreads);
+    }
+    timers.stop(Routine::kMatAtA);
+  };
+  refresh_grams();
 
   MttkrpOptions mopts;
   mopts.nthreads = nthreads;
@@ -200,24 +171,13 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
   // Per-thread fit scratch, allocated once for the whole run (the fit is
   // computed every iteration; its reduction buffers must not be).
   PrivateBuffers fit_partials(nthreads, static_cast<nnz_t>(rank));
+  double fit = 0.0;
+  double prev_fit = 0.0;
 
-  // Last state that passed the health scan, for rollback-and-perturb.
-  // Only maintained while guards are on (one extra model copy per
-  // iteration, O(sum dims · R) — noise next to the MTTKRP).
-  const bool guard = rctx.health().enabled();
-  struct GoodState {
-    std::vector<la::Matrix> factors;
-    std::vector<val_t> lambda;
-    std::vector<double> fit_history;
-    double prev_fit = 0.0;
-    int iteration = 0;
-  } good;
-  if (guard) {
-    good = {model.factors, model.lambda, result.fit_history, prev_fit, it};
-  }
-
-  bool stopped = false;
-  while (it < options.max_iterations && !stopped) {
+  IterationHooks hooks;
+  hooks.factors = &model.factors;
+  hooks.lambda = &model.lambda;
+  hooks.sweep = [&](int it) {
     for (int m = 0; m < order; ++m) {
       la::Matrix& factor = model.factors[static_cast<std::size_t>(m)];
       const idx_t m_dim = dims[static_cast<std::size_t>(m)];
@@ -282,95 +242,63 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
       la::ata(factor, grams[static_cast<std::size_t>(m)], nthreads);
       timers.stop(Routine::kMatAtA);
     }
-
-    // Fault injection lands between the factor updates and the health
-    // scan, exactly where a soft error would corrupt an iterate.
-    if (FaultInjector* inj = rctx.injector()) {
-      inj->corrupt_factors(model.factors, it);
-    }
-
+  };
+  hooks.loss = [&](int, bool) {
+    if (!options.compute_fit) return HealthMonitor::kNoLoss;
     // Fit (line 13): 1 - ||X - Z||_F / ||X||_F via the sparse identity.
-    double fit = 0.0;
-    double loss = HealthMonitor::kNoLoss;
-    if (options.compute_fit) {
-      timers.start(Routine::kFit);
-      const int last = order - 1;
-      const val_t inner = detail::fit_inner_product(
-          fit_m, model.factors[static_cast<std::size_t>(last)],
-          model.lambda, nthreads, fit_partials);
-      const val_t norm_z = detail::model_norm_sq(grams, model.lambda);
-      val_t residual_sq = tensor_norm_sq + norm_z - 2 * inner;
-      if (residual_sq < val_t{0}) residual_sq = 0;
-      fit = (tensor_norm_sq > val_t{0})
-                ? 1.0 - std::sqrt(static_cast<double>(residual_sq)) /
-                            std::sqrt(static_cast<double>(tensor_norm_sq))
-                : 0.0;
-      timers.stop(Routine::kFit);
-      loss = 1.0 - fit;
-    }
-
-    if (guard) {
-      const HealthIssue issue =
-          rctx.health().inspect(model.factors, model.lambda, loss);
-      if (issue != HealthIssue::kNone) {
-        rctx.fail_or_retry(issue, it);  // throws when retries are exhausted
-        // Rollback-and-perturb: restore the last healthy state, jitter it
-        // off the failing trajectory, and rebuild the Grams.
-        model.factors = good.factors;
-        model.lambda = good.lambda;
-        result.fit_history = good.fit_history;
-        prev_fit = good.prev_fit;
-        it = good.iteration;
-        perturb_factors(model.factors, rctx.recovery_rng());
-        if (options.precision == Precision::kF32) {
-          for (la::Matrix& f : model.factors) {
-            la::round_through_f32(f);
-          }
-        }
-        timers.start(Routine::kMatAtA);
-        for (int m = 0; m < order; ++m) {
-          la::ata(model.factors[static_cast<std::size_t>(m)],
-                  grams[static_cast<std::size_t>(m)], nthreads);
-        }
-        timers.stop(Routine::kMatAtA);
-        continue;
+    timers.start(Routine::kFit);
+    const val_t inner = detail::fit_inner_product(
+        fit_m, model.factors[static_cast<std::size_t>(order - 1)],
+        model.lambda, nthreads, fit_partials);
+    const val_t norm_z = detail::model_norm_sq(grams, model.lambda);
+    val_t residual_sq = tensor_norm_sq + norm_z - 2 * inner;
+    if (residual_sq < val_t{0}) residual_sq = 0;
+    fit = (tensor_norm_sq > val_t{0})
+              ? 1.0 - std::sqrt(static_cast<double>(residual_sq)) /
+                          std::sqrt(static_cast<double>(tensor_norm_sq))
+              : 0.0;
+    timers.stop(Routine::kFit);
+    return 1.0 - fit;
+  };
+  hooks.accept = [&](int it) {
+    if (!options.compute_fit) return false;
+    result.fit_history.push_back(fit);
+    const bool converged = options.tolerance > 0.0 && it > 0 &&
+                           std::abs(fit - prev_fit) < options.tolerance;
+    prev_fit = fit;
+    return converged;
+  };
+  hooks.save = [&](Checkpoint& ck) {
+    ck.factors = model.factors;
+    ck.set_series("lambda", model.lambda);
+    ck.set_series("fit_history", result.fit_history);
+    ck.set_scalar("prev_fit", prev_fit);
+  };
+  hooks.restore = [&](const Checkpoint& ck) {
+    ck.check_factor_shapes(dims, dims_t(order, rank), "cpals");
+    const std::vector<double>* lam = ck.find_series("lambda");
+    SPTD_CHECK(lam != nullptr && lam->size() == rank,
+               "cpals restore: checkpoint lambda mismatch");
+    model.factors = ck.factors;
+    model.lambda = *lam;
+    const std::vector<double>* fh = ck.find_series("fit_history");
+    result.fit_history = fh ? *fh : std::vector<double>{};
+    prev_fit = ck.scalar("prev_fit", 0.0);
+    refresh_grams();
+  };
+  hooks.best_loss = [&] { return best_fit_loss(result.fit_history); };
+  hooks.after_perturb = [&] {
+    if (options.precision == Precision::kF32) {
+      for (la::Matrix& f : model.factors) {
+        la::round_through_f32(f);
       }
-      rctx.note_healthy();
     }
+    refresh_grams();
+  };
 
-    if (options.compute_fit) {
-      result.fit_history.push_back(fit);
-      if (options.tolerance > 0.0 && it > 0 &&
-          std::abs(fit - prev_fit) < options.tolerance) {
-        stopped = true;
-      }
-      prev_fit = fit;
-    }
-    ++it;
-    result.iterations = it;
-
-    if (guard) {
-      good.factors = model.factors;
-      good.lambda = model.lambda;
-      good.fit_history = result.fit_history;
-      good.prev_fit = prev_fit;
-      good.iteration = it;
-    }
-
-    // Mid-run snapshots only: a run that is about to return rebuilds
-    // nothing on resume, and the final model is the caller's to persist.
-    if (!stopped && it < options.max_iterations && rctx.checkpoint_due(it)) {
-      Checkpoint ck;
-      ck.iteration = it;
-      ck.factors = model.factors;
-      ck.set_series("lambda", std::vector<double>(model.lambda.begin(),
-                                                  model.lambda.end()));
-      ck.set_series("fit_history", result.fit_history);
-      ck.set_scalar("prev_fit", prev_fit);
-      rctx.save_checkpoint(std::move(ck));
-    }
-  }
-  rctx.finish(result.resilience);
+  ResilienceContext rctx(options.resilience, "cpals", options.seed);
+  result.iterations = run_iterations(rctx, hooks, options.max_iterations,
+                                     result.resilience);
   return result;
 }
 

@@ -1,8 +1,10 @@
 #include "cpd/model_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
@@ -47,6 +49,20 @@ std::string checksum_hex(std::uint64_t h) {
   return std::string(buf);
 }
 
+/// Reads \p count values, growing only as tokens actually arrive, so a
+/// header that lies about a size fails at the first missing token instead
+/// of allocating what it claims.
+std::vector<val_t> read_values(std::istream& in, std::uint64_t count,
+                               const std::string& what) {
+  std::vector<val_t> values;
+  val_t v = 0;
+  while (values.size() < count) {
+    SPTD_CHECK(static_cast<bool>(in >> v), what);
+    values.push_back(v);
+  }
+  return values;
+}
+
 /// Parses the body shared by v1 and v2 from a token stream.
 KruskalModel read_model_body(std::istream& in) {
   std::string token;
@@ -61,11 +77,7 @@ KruskalModel read_model_body(std::istream& in) {
   KruskalModel model;
   SPTD_CHECK(static_cast<bool>(in >> token) && token == "lambda",
              "read_model: missing lambda section");
-  model.lambda.resize(rank);
-  for (idx_t r = 0; r < rank; ++r) {
-    SPTD_CHECK(static_cast<bool>(in >> model.lambda[r]),
-               "read_model: truncated lambda");
-  }
+  model.lambda = read_values(in, rank, "read_model: truncated lambda");
 
   for (int m = 0; m < order; ++m) {
     int mode = -1;
@@ -75,13 +87,13 @@ KruskalModel read_model_body(std::istream& in) {
                    cols == rank,
                "read_model: bad factor header for mode " +
                    std::to_string(m));
+    const std::vector<val_t> values =
+        read_values(in, static_cast<std::uint64_t>(rows) * cols,
+                    "read_model: truncated factor " + std::to_string(m));
     la::Matrix f(rows, cols);
     for (idx_t i = 0; i < rows; ++i) {
-      val_t* row = f.row_ptr(i);
-      for (idx_t j = 0; j < cols; ++j) {
-        SPTD_CHECK(static_cast<bool>(in >> row[j]),
-                   "read_model: truncated factor " + std::to_string(m));
-      }
+      std::copy_n(values.data() + static_cast<std::size_t>(i) * cols, cols,
+                  f.row_ptr(i));
     }
     model.factors.push_back(std::move(f));
   }

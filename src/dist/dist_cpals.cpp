@@ -9,11 +9,9 @@
 
 #include "dist/dist_cpals.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <csignal>
-#include <limits>
 #include <memory>
 #include <optional>
 
@@ -186,137 +184,25 @@ DistResult run_dist_loop(const LoopConfig& cfg, DistTransport& tr) {
   const CommVolume per_iteration =
       predict_comm_volume(dims, options.grid, rank);
 
-  ResilienceContext rctx(options.resilience, cfg.checkpoint_kind.c_str(),
-                         options.seed);
-  int it = 0;
-
   // Factor initialization and ALS updates mirror cp_als_csf with one
   // thread exactly; only the MTTKRP is assembled from locale partials.
-  auto init_state = [&] {
-    Rng rng(options.seed);
-    model.lambda.assign(rank, val_t{1});
-    model.factors.clear();
-    model.factors.reserve(static_cast<std::size_t>(order));
-    for (int m = 0; m < order; ++m) {
-      model.factors.push_back(
-          la::Matrix::random(dims[static_cast<std::size_t>(m)], rank, rng));
-    }
-    result.fit_history.clear();
-    result.comm.reduce_bytes.assign(static_cast<std::size_t>(order), 0);
-    result.comm.broadcast_bytes.assign(static_cast<std::size_t>(order), 0);
-    result.iterations = 0;
-    it = 0;
-  };
-  init_state();
-
-  // The comm counters are an invariant of the iteration count (every
-  // iteration moves the same predicted volume), so restored totals are
-  // reconstructed rather than serialized.
-  auto reconstruct_comm = [&] {
-    for (std::size_t m = 0; m < static_cast<std::size_t>(order); ++m) {
-      result.comm.reduce_bytes[m] =
-          per_iteration.reduce_bytes[m] * static_cast<std::uint64_t>(it);
-      result.comm.broadcast_bytes[m] =
-          per_iteration.broadcast_bytes[m] * static_cast<std::uint64_t>(it);
-    }
-  };
-
-  auto apply_checkpoint = [&](Checkpoint&& ck) {
-    SPTD_CHECK(ck.factors.size() == static_cast<std::size_t>(order),
-               "dist restore: checkpoint order mismatch");
-    for (int m = 0; m < order; ++m) {
-      const la::Matrix& f = ck.factors[static_cast<std::size_t>(m)];
-      SPTD_CHECK(f.rows() == dims[static_cast<std::size_t>(m)] &&
-                     f.cols() == rank,
-                 "dist restore: checkpoint factor shape mismatch");
-    }
-    const std::vector<double>* lam = ck.find_series("lambda");
-    SPTD_CHECK(lam != nullptr &&
-                   lam->size() == static_cast<std::size_t>(rank),
-               "dist restore: checkpoint lambda missing or wrong rank");
-    model.factors = std::move(ck.factors);
-    for (idx_t r = 0; r < rank; ++r) {
-      model.lambda[static_cast<std::size_t>(r)] =
-          static_cast<val_t>((*lam)[static_cast<std::size_t>(r)]);
-    }
-    if (const std::vector<double>* fh = ck.find_series("fit_history")) {
-      result.fit_history = *fh;
-    } else {
-      result.fit_history.clear();
-    }
-    it = ck.iteration;
-    result.iterations = it;
-    reconstruct_comm();
-  };
-
-  // Rebuild the loss trend identically on every rank from the restored
-  // history — survivors carrying stale pre-crash trend state would
-  // otherwise make different rollback decisions than a respawned rank
-  // during replay and desynchronize the collectives.
-  auto reseed_health = [&] {
-    rctx.health().reset();
-    if (!result.fit_history.empty()) {
-      double best_loss = std::numeric_limits<double>::infinity();
-      for (const double f : result.fit_history) {
-        best_loss = std::min(best_loss, 1.0 - f);
-      }
-      rctx.health().seed_trend(best_loss);
-    }
-  };
-
-  auto apply_rejoin = [&](const RejoinPoint& rp) {
-    bool restored = false;
-    if (!rp.checkpoint_path.empty()) {
-      try {
-        if (std::optional<Checkpoint> ck =
-                load_checkpoint_file(rp.checkpoint_path)) {
-          SPTD_CHECK(ck->iteration == rp.iteration,
-                     "dist rejoin: rollback iteration mismatch");
-          rctx.recovery_rng().set_state(ck->rng_state);
-          apply_checkpoint(std::move(*ck));
-          rctx.counters().resumed_from = it;
-          restored = true;
-          log_info("resilience: " + cfg.checkpoint_kind +
-                   " rejoined from iteration " + std::to_string(it));
-        }
-      } catch (const Error& e) {
-        log_warn("dist rejoin: rollback checkpoint unusable: " +
-                 std::string(e.what()));
-      }
-    }
-    if (!restored && rp.iteration == 0 && rp.checkpoint_path.empty()) {
-      // No snapshot existed (checkpointing off or nothing written yet):
-      // deterministic reinit from the seed, replay from iteration 0.
-      init_state();
-      restored = true;
-    }
-    if (!restored) {
-      // The launcher validated the file before publishing it; losing it
-      // here means this rank's view diverged from its peers' — replaying
-      // from scratch would desynchronize the collectives, so fail loudly.
-      throw Error("dist rejoin: rollback checkpoint " + rp.checkpoint_path +
-                  " disappeared or failed validation");
-    }
-    reseed_health();
-  };
-
-  // Adopt the current epoch. shm: returns the launcher's rollback preset
-  // after a recovery (and for --resume, preset pre-fork); sim/mpi: none.
-  if (std::optional<RejoinPoint> rp = tr.rejoin()) {
-    apply_rejoin(*rp);
-  } else if (std::optional<Checkpoint> ck = rctx.try_resume()) {
-    apply_checkpoint(std::move(*ck));
-    reseed_health();
+  Rng rng(options.seed);
+  model.lambda.assign(rank, val_t{1});
+  for (int m = 0; m < order; ++m) {
+    model.factors.push_back(
+        la::Matrix::random(dims[static_cast<std::size_t>(m)], rank, rng));
   }
+  result.comm.reduce_bytes.assign(static_cast<std::size_t>(order), 0);
+  result.comm.broadcast_bytes.assign(static_cast<std::size_t>(order), 0);
 
   // Grams are recomputed (deterministic serial la::ata), not serialized:
-  // a resumed run rebuilds bitwise-identical grams from the factors.
+  // a restored run rebuilds bitwise-identical grams from the factors.
   std::vector<la::Matrix> grams;
   grams.reserve(static_cast<std::size_t>(order));
   for (int m = 0; m < order; ++m) {
     grams.emplace_back(rank, rank);
   }
-  auto refresh_grams = [&] {
+  const auto refresh_grams = [&] {
     for (int m = 0; m < order; ++m) {
       la::ata(model.factors[static_cast<std::size_t>(m)],
               grams[static_cast<std::size_t>(m)], 1);
@@ -324,184 +210,204 @@ DistResult run_dist_loop(const LoopConfig& cfg, DistTransport& tr) {
   };
   refresh_grams();
 
-  const bool guard = rctx.health().enabled();
-  struct GoodState {
-    std::vector<la::Matrix> factors;
-    std::vector<val_t> lambda;
-    std::vector<double> fit_history;
-    CommVolume comm;
-    int iteration = 0;
-  } good;
-  auto snapshot_good = [&] {
-    good = {model.factors, model.lambda, result.fit_history, result.comm,
-            it};
-  };
-  if (guard) snapshot_good();
-
+  ResilienceContext rctx(options.resilience, cfg.checkpoint_kind.c_str(),
+                         options.seed);
   la::Matrix v(rank, rank);
   la::Matrix fit_m;  // last mode's assembled MTTKRP, kept for the fit
   PrivateBuffers fit_partials(1, static_cast<nnz_t>(rank));
-  bool finished = false;
-  while (!finished) {
-    try {
-      while (it < options.max_iterations) {
-        tr.beat();
-        if (FaultInjector* inj = rctx.injector()) {
-          if (tr.kind() == TransportKind::kShm) {
-            // Real rank death: SIGKILL ourselves mid-iteration. The
-            // shared-memory token claim is one-shot across respawns, so
-            // the victim replaying this iteration after recovery lives.
-            for (const std::size_t l : cfg.owned) {
-              if (inj->rank_kill_due(l, nlocales, it,
-                                     options.max_iterations) &&
-                  tr.claim_kill_token()) {
-                log_warn("fault: rank-kill of rank " + std::to_string(l) +
-                         " at iteration " + std::to_string(it));
-                std::raise(SIGKILL);
-              }
-            }
-          } else {
-            // A killed locale loses its in-memory CSF set and execution
-            // plan — the analogue of a node dropping out of the grid.
-            for (const std::size_t l : cfg.owned) {
-              if (inj->kill_locale(l, nlocales, it,
-                                   options.max_iterations)) {
-                sets[l].reset();
-                plans[l].reset();
-              }
-            }
-          }
-        }
-        // Failure detection + restart: a locale that owns nonzeros but has
-        // no plan is down. Its block is still resident (the simulated
-        // analogue of re-reading the locale's partition from durable
-        // storage), so the CSF set and plan rebuild deterministically and
-        // the recovered run matches the clean run bitwise.
+  double fit = 0.0;
+
+  IterationHooks hooks;
+  hooks.factors = &model.factors;
+  hooks.lambda = &model.lambda;
+  hooks.sweep = [&](int it) {
+    tr.beat();
+    if (FaultInjector* inj = rctx.injector()) {
+      if (tr.kind() == TransportKind::kShm) {
+        // Real rank death: SIGKILL ourselves mid-iteration. The
+        // shared-memory token claim is one-shot across respawns, so the
+        // victim replaying this iteration after recovery lives.
         for (const std::size_t l : cfg.owned) {
-          if (!plans[l] && part.blocks[l].nnz() > 0) {
-            build_plan(l);
-            ++rctx.counters().locale_restarts;
-            log_warn("[resilience] dist: restarted locale " +
-                     std::to_string(l) + " at iteration " +
-                     std::to_string(it));
+          if (inj->rank_kill_due(l, nlocales, it, options.max_iterations) &&
+              tr.claim_kill_token()) {
+            log_warn("fault: rank-kill of rank " + std::to_string(l) +
+                     " at iteration " + std::to_string(it));
+            std::raise(SIGKILL);
           }
         }
-
-        for (int m = 0; m < order; ++m) {
-          const idx_t m_dim = dims[static_cast<std::size_t>(m)];
-          la::Matrix out_view(m_dim, rank);
-
-          // Layer-wise all-reduce of partial MTTKRPs, summed in locale
-          // order by the transport (one locale executes straight into the
-          // output — nothing moves on any transport).
-          if (nlocales == 1) {
-            plans[0]->execute(model.factors, m, out_view);
-          } else {
-            std::vector<la::Matrix> partial_store;
-            partial_store.reserve(cfg.owned.size());
-            std::vector<const la::Matrix*> partials(nlocales, nullptr);
-            for (const std::size_t l : cfg.owned) {
-              if (!plans[l]) continue;
-              partial_store.emplace_back(m_dim, rank);
-              plans[l]->execute(model.factors, m, partial_store.back());
-              // Same shape implies the same padded stride; padding lanes
-              // are zero, so summing physical buffers is the logical sum.
-              partials[l] = &partial_store.back();
-            }
-            tr.allreduce(
-                static_cast<std::uint64_t>(it) *
-                        static_cast<std::uint64_t>(order) +
-                    static_cast<std::uint64_t>(m),
-                m, partials, out_view);
+      } else {
+        // A killed locale loses its in-memory CSF set and execution
+        // plan — the analogue of a node dropping out of the grid.
+        for (const std::size_t l : cfg.owned) {
+          if (inj->kill_locale(l, nlocales, it, options.max_iterations)) {
+            sets[l].reset();
+            plans[l].reset();
           }
-          result.comm.reduce_bytes[static_cast<std::size_t>(m)] +=
-              per_iteration.reduce_bytes[static_cast<std::size_t>(m)];
-          result.comm.broadcast_bytes[static_cast<std::size_t>(m)] +=
-              per_iteration.broadcast_bytes[static_cast<std::size_t>(m)];
-
-          if (m == order - 1) {
-            fit_m = out_view;
-          }
-          la::gram_hadamard(grams, m, v);
-          la::solve_normal_equations(v, out_view, 1);
-          la::Matrix& factor = model.factors[static_cast<std::size_t>(m)];
-          factor = std::move(out_view);
-          la::normalize_columns(
-              factor, model.lambda,
-              it == 0 ? la::MatNorm::kTwo : la::MatNorm::kMax, 1);
-          la::ata(factor, grams[static_cast<std::size_t>(m)], 1);
-          tr.beat();
-        }
-
-        if (FaultInjector* inj = rctx.injector()) {
-          inj->corrupt_factors(model.factors, it);
-        }
-
-        const val_t inner = detail::fit_inner_product(
-            fit_m, model.factors[static_cast<std::size_t>(order - 1)],
-            model.lambda, 1, fit_partials);
-        const val_t norm_z = detail::model_norm_sq(grams, model.lambda);
-        val_t residual_sq = cfg.tensor_norm_sq + norm_z - 2 * inner;
-        if (residual_sq < val_t{0}) residual_sq = 0;
-        const double fit =
-            (cfg.tensor_norm_sq > val_t{0})
-                ? 1.0 - std::sqrt(static_cast<double>(residual_sq)) /
-                            std::sqrt(static_cast<double>(
-                                cfg.tensor_norm_sq))
-                : 0.0;
-
-        if (guard) {
-          const HealthIssue issue =
-              rctx.health().inspect(model.factors, model.lambda, 1.0 - fit);
-          if (issue != HealthIssue::kNone) {
-            rctx.fail_or_retry(issue, it);  // throws when out of retries
-            model.factors = good.factors;
-            model.lambda = good.lambda;
-            result.fit_history = good.fit_history;
-            result.comm = good.comm;
-            it = good.iteration;
-            perturb_factors(model.factors, rctx.recovery_rng());
-            refresh_grams();
-            continue;
-          }
-          rctx.note_healthy();
-        }
-
-        result.fit_history.push_back(fit);
-        ++it;
-        result.iterations = it;
-        if (guard) snapshot_good();
-
-        if (it < options.max_iterations && rctx.checkpoint_due(it)) {
-          Checkpoint ck;
-          ck.iteration = it;
-          ck.factors = model.factors;
-          ck.set_series("lambda",
-                        std::vector<double>(model.lambda.begin(),
-                                            model.lambda.end()));
-          ck.set_series("fit_history", result.fit_history);
-          rctx.save_checkpoint(std::move(ck));
         }
       }
-      rctx.finish(result.resilience);
+    }
+    // Failure detection + restart: a locale that owns nonzeros but has no
+    // plan is down. Its block is still resident (the simulated analogue of
+    // re-reading the locale's partition from durable storage), so the CSF
+    // set and plan rebuild deterministically and the recovered run
+    // matches the clean run bitwise.
+    for (const std::size_t l : cfg.owned) {
+      if (!plans[l] && part.blocks[l].nnz() > 0) {
+        build_plan(l);
+        ++rctx.counters().locale_restarts;
+        log_warn("[resilience] dist: restarted locale " + std::to_string(l) +
+                 " at iteration " + std::to_string(it));
+      }
+    }
+
+    for (int m = 0; m < order; ++m) {
+      const idx_t m_dim = dims[static_cast<std::size_t>(m)];
+      la::Matrix out_view(m_dim, rank);
+
+      // Layer-wise all-reduce of partial MTTKRPs, summed in locale order
+      // by the transport (one locale executes straight into the output —
+      // nothing moves on any transport).
+      if (nlocales == 1) {
+        plans[0]->execute(model.factors, m, out_view);
+      } else {
+        std::vector<la::Matrix> partial_store;
+        partial_store.reserve(cfg.owned.size());
+        std::vector<const la::Matrix*> partials(nlocales, nullptr);
+        for (const std::size_t l : cfg.owned) {
+          if (!plans[l]) continue;
+          partial_store.emplace_back(m_dim, rank);
+          plans[l]->execute(model.factors, m, partial_store.back());
+          // Same shape implies the same padded stride; padding lanes are
+          // zero, so summing physical buffers is the logical sum.
+          partials[l] = &partial_store.back();
+        }
+        tr.allreduce(static_cast<std::uint64_t>(it) *
+                             static_cast<std::uint64_t>(order) +
+                         static_cast<std::uint64_t>(m),
+                     m, partials, out_view);
+      }
+      result.comm.reduce_bytes[static_cast<std::size_t>(m)] +=
+          per_iteration.reduce_bytes[static_cast<std::size_t>(m)];
+      result.comm.broadcast_bytes[static_cast<std::size_t>(m)] +=
+          per_iteration.broadcast_bytes[static_cast<std::size_t>(m)];
+
+      if (m == order - 1) {
+        fit_m = out_view;
+      }
+      la::gram_hadamard(grams, m, v);
+      la::solve_normal_equations(v, out_view, 1);
+      la::Matrix& factor = model.factors[static_cast<std::size_t>(m)];
+      factor = std::move(out_view);
+      la::normalize_columns(factor, model.lambda,
+                            it == 0 ? la::MatNorm::kTwo : la::MatNorm::kMax,
+                            1);
+      la::ata(factor, grams[static_cast<std::size_t>(m)], 1);
+      tr.beat();
+    }
+  };
+  hooks.loss = [&](int, bool) {
+    const val_t inner = detail::fit_inner_product(
+        fit_m, model.factors[static_cast<std::size_t>(order - 1)],
+        model.lambda, 1, fit_partials);
+    const val_t norm_z = detail::model_norm_sq(grams, model.lambda);
+    val_t residual_sq = cfg.tensor_norm_sq + norm_z - 2 * inner;
+    if (residual_sq < val_t{0}) residual_sq = 0;
+    fit = (cfg.tensor_norm_sq > val_t{0})
+              ? 1.0 - std::sqrt(static_cast<double>(residual_sq)) /
+                          std::sqrt(static_cast<double>(cfg.tensor_norm_sq))
+              : 0.0;
+    return 1.0 - fit;
+  };
+  hooks.accept = [&](int) {
+    result.fit_history.push_back(fit);
+    return false;
+  };
+  hooks.save = [&](Checkpoint& ck) {
+    ck.factors = model.factors;
+    ck.set_series("lambda", model.lambda);
+    ck.set_series("fit_history", result.fit_history);
+  };
+  hooks.restore = [&](const Checkpoint& ck) {
+    ck.check_factor_shapes(dims, dims_t(order, rank), "dist");
+    const std::vector<double>* lam = ck.find_series("lambda");
+    SPTD_CHECK(lam != nullptr &&
+                   lam->size() == static_cast<std::size_t>(rank),
+               "dist restore: checkpoint lambda missing or wrong rank");
+    model.factors = ck.factors;
+    model.lambda = *lam;
+    const std::vector<double>* fh = ck.find_series("fit_history");
+    result.fit_history = fh ? *fh : std::vector<double>{};
+    // The comm counters are an invariant of the iteration count (every
+    // iteration moves the same predicted volume), so restored totals are
+    // reconstructed rather than serialized.
+    for (std::size_t m = 0; m < static_cast<std::size_t>(order); ++m) {
+      const auto done = static_cast<std::uint64_t>(ck.iteration);
+      result.comm.reduce_bytes[m] = per_iteration.reduce_bytes[m] * done;
+      result.comm.broadcast_bytes[m] =
+          per_iteration.broadcast_bytes[m] * done;
+    }
+    refresh_grams();
+  };
+  hooks.best_loss = [&] { return best_fit_loss(result.fit_history); };
+  hooks.after_perturb = refresh_grams;
+
+  // The seeded initial state: a rejoin with no snapshot replays from it.
+  Checkpoint initial;
+  hooks.save(initial);
+
+  // Where a rejoin restarts: the launcher's rollback snapshot (restoring
+  // the recovery RNG it carried), or the initial state at iteration 0.
+  const auto rejoin_state = [&](const RejoinPoint& rp) -> Checkpoint {
+    if (!rp.checkpoint_path.empty()) {
+      try {
+        if (std::optional<Checkpoint> ck =
+                load_checkpoint_file(rp.checkpoint_path)) {
+          SPTD_CHECK(ck->iteration == rp.iteration,
+                     "dist rejoin: rollback iteration mismatch");
+          rctx.recovery_rng().set_state(ck->rng_state);
+          rctx.counters().resumed_from = ck->iteration;
+          log_info("resilience: " + cfg.checkpoint_kind +
+                   " rejoined from iteration " +
+                   std::to_string(ck->iteration));
+          return std::move(*ck);
+        }
+      } catch (const Error& e) {
+        log_warn("dist rejoin: rollback checkpoint unusable: " +
+                 std::string(e.what()));
+      }
+    } else if (rp.iteration == 0) {
+      return initial;
+    }
+    // The launcher validated the file before publishing it; losing it
+    // here means this rank's view diverged from its peers' — replaying
+    // from scratch would desynchronize the collectives, so fail loudly.
+    throw Error("dist rejoin: rollback checkpoint " + rp.checkpoint_path +
+                " disappeared or failed validation");
+  };
+
+  // Adopt the current epoch. shm: returns the launcher's rollback preset
+  // after a recovery (and for --resume, preset pre-fork); sim/mpi: none,
+  // so the skeleton honors --resume itself.
+  std::optional<Checkpoint> start;
+  if (std::optional<RejoinPoint> rp = tr.rejoin()) start = rejoin_state(*rp);
+  for (;;) {
+    try {
+      result.iterations =
+          run_iterations(rctx, hooks, options.max_iterations,
+                         result.resilience, start ? &*start : nullptr);
       if (cfg.on_complete) cfg.on_complete(result);
       tr.finalize();
-      finished = true;
+      return result;
     } catch (const RecoveryInterrupt&) {
       // A peer died; the launcher bumped the epoch and published a
       // rollback point. Adopt it, quiesce with the other survivors and
-      // the respawned rank, restore, and replay.
-      if (std::optional<RejoinPoint> rp = tr.rejoin()) {
-        apply_rejoin(*rp);
-      } else {
-        init_state();
-        reseed_health();
-      }
-      refresh_grams();
-      if (guard) snapshot_good();
+      // the respawned rank, restore, and replay. Every rank restarts its
+      // health trend from the restored history, so survivors and the
+      // respawned rank make identical rollback decisions.
+      std::optional<RejoinPoint> rp = tr.rejoin();
+      start = rp ? rejoin_state(*rp) : initial;
     }
   }
-  return result;
 }
 
 }  // namespace dist

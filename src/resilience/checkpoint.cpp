@@ -207,14 +207,15 @@ bool Checkpoint::has_scalar(const std::string& name) const {
 }
 
 void Checkpoint::set_series(const std::string& name,
-                            std::vector<double> values) {
+                            const std::vector<double>& values) {
+  series_ref(name) = values;
+}
+
+std::vector<double>& Checkpoint::series_ref(const std::string& name) {
   for (auto& [n, v] : series) {
-    if (n == name) {
-      v = std::move(values);
-      return;
-    }
+    if (n == name) return v;
   }
-  series.emplace_back(name, std::move(values));
+  return series.emplace_back(name, std::vector<double>{}).second;
 }
 
 const std::vector<double>* Checkpoint::find_series(
@@ -223,6 +224,16 @@ const std::vector<double>* Checkpoint::find_series(
     if (n == name) return &v;
   }
   return nullptr;
+}
+
+void Checkpoint::check_factor_shapes(const dims_t& rows, const dims_t& cols,
+                                     const std::string& who) const {
+  SPTD_CHECK(factors.size() == rows.size(),
+             who + " restore: checkpoint order mismatch");
+  for (std::size_t m = 0; m < rows.size(); ++m) {
+    SPTD_CHECK(factors[m].rows() == rows[m] && factors[m].cols() == cols[m],
+               who + " restore: checkpoint factor shape mismatch");
+  }
 }
 
 std::string Checkpoint::serialize() const {

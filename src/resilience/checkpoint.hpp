@@ -76,9 +76,18 @@ struct Checkpoint {
   /// True if the named scalar is present.
   bool has_scalar(const std::string& name) const;
 
-  void set_series(const std::string& name, std::vector<double> values);
+  /// Copy-assigns into the named series, so a long-lived snapshot that is
+  /// refilled every iteration reuses its storage.
+  void set_series(const std::string& name, const std::vector<double>& values);
+  /// The named series, created empty when absent (fill in place).
+  std::vector<double>& series_ref(const std::string& name);
   /// Returns the named series, or nullptr when absent.
   const std::vector<double>* find_series(const std::string& name) const;
+
+  /// Throws sptd::Error unless factor m is rows[m] x cols[m] for every
+  /// mode; \p who prefixes the message.
+  void check_factor_shapes(const dims_t& rows, const dims_t& cols,
+                           const std::string& who) const;
 
   /// Serializes to the on-disk text format (header + checksum + payload).
   std::string serialize() const;

@@ -47,7 +47,7 @@ std::optional<Checkpoint> ResilienceContext::try_resume() {
   return ck;
 }
 
-void ResilienceContext::save_checkpoint(Checkpoint ck) {
+void ResilienceContext::save_checkpoint(Checkpoint& ck) {
   ck.kind = kind_;
   ck.rng_state = recovery_rng_.state();
   manager_.save(ck, injector(), counters_);
@@ -68,14 +68,81 @@ void ResilienceContext::fail_or_retry(HealthIssue issue, int iteration) {
            std::to_string(opts_.max_retries) + ")");
 }
 
-void ResilienceContext::note_healthy() { consecutive_retries_ = 0; }
-
 void ResilienceContext::finish(ResilienceCounters& out) {
   if (injector_) {
     counters_.faults_injected = injector_->faults_injected();
   }
   counters_.gram_bumps = la::tikhonov_bump_count() - bumps_at_start_;
   out = counters_;
+}
+
+int run_iterations(ResilienceContext& ctx, const IterationHooks& hooks,
+                   int max_iterations, ResilienceCounters& out,
+                   const Checkpoint* start) {
+  int it = 0;
+  // Resume, rejoin and rollback all land here. The trend restarts from
+  // the restored history, which equals what an uninterrupted monitor
+  // holds: only healthy iterations ever lower the best loss.
+  const auto resume_from = [&](const Checkpoint& ck) {
+    hooks.restore(ck);
+    ctx.health_.reset();
+    ctx.health_.seed_trend(hooks.best_loss());
+    it = ck.iteration;
+  };
+  if (start != nullptr) {
+    resume_from(*start);
+  } else if (std::optional<Checkpoint> ck = ctx.try_resume()) {
+    resume_from(*ck);
+  }
+
+  // Last state that passed the health scan. Only kept while guards are
+  // on: one model copy per iteration, O(sum dims · R), noise next to the
+  // sweep. Copy-assigned in place, so its storage is reused.
+  const bool guard = ctx.health_.enabled();
+  Checkpoint snapshot;
+  snapshot.iteration = it;
+  if (guard) hooks.save(snapshot);
+
+  bool stopped = false;
+  while (it < max_iterations && !stopped) {
+    hooks.sweep(it);
+    // Fault injection lands between the sweep and the health scan,
+    // exactly where a soft error would corrupt an iterate.
+    bool corrupted = false;
+    if (FaultInjector* inj = ctx.injector()) {
+      corrupted = inj->corrupt_factors(*hooks.factors, it) > 0;
+    }
+    const double loss = hooks.loss(it, corrupted);
+
+    if (guard) {
+      const HealthIssue issue =
+          ctx.health_.inspect(*hooks.factors, *hooks.lambda, loss);
+      if (issue != HealthIssue::kNone) {
+        ctx.fail_or_retry(issue, it);  // throws when retries are exhausted
+        // Rollback-and-perturb: jitter the last healthy state off the
+        // failing trajectory.
+        resume_from(snapshot);
+        perturb_factors(*hooks.factors, ctx.recovery_rng_);
+        hooks.after_perturb();
+        continue;
+      }
+      ctx.note_healthy();
+    }
+
+    stopped = hooks.accept(it);
+    ++it;
+    // Mid-run snapshots only: a run that is about to return rebuilds
+    // nothing on resume, and the final model is the caller's to persist.
+    const bool due =
+        !stopped && it < max_iterations && ctx.checkpoint_due(it);
+    if (guard || due) {
+      snapshot.iteration = it;
+      hooks.save(snapshot);
+    }
+    if (due) ctx.save_checkpoint(snapshot);
+  }
+  ctx.finish(out);
+  return it;
 }
 
 }  // namespace sptd

@@ -1,5 +1,6 @@
 #include "resilience/health.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace sptd {
@@ -57,6 +58,12 @@ void HealthMonitor::seed_trend(double best_loss) {
 }
 
 void HealthMonitor::reset_streak() { bad_streak_ = 0; }
+
+double best_fit_loss(const std::vector<double>& fit_history) {
+  double best = std::numeric_limits<double>::infinity();
+  for (const double f : fit_history) best = std::min(best, 1.0 - f);
+  return best;
+}
 
 void perturb_factors(std::vector<la::Matrix>& factors, Rng& rng,
                      double scale) {

@@ -47,11 +47,12 @@ class HealthMonitor {
   /// predates the bad steps), keeping the best loss seen.
   void reset_streak();
 
-  /// Forgets everything (best loss and streak). The distributed rejoin
-  /// path calls this on *every* rank and reseeds the trend from the
-  /// restored fit history, so survivors (with stale pre-crash trend state)
-  /// and a freshly respawned rank make identical health decisions during
-  /// replay — a divergent decision would desynchronize the collectives.
+  /// Forgets everything (best loss and streak). run_iterations() calls
+  /// this on every restore and reseeds the trend from the restored
+  /// history, so after a distributed rejoin survivors (with stale
+  /// pre-crash trend state) and a freshly respawned rank make identical
+  /// health decisions during replay — a divergent decision would
+  /// desynchronize the collectives.
   void reset() {
     best_loss_ = std::numeric_limits<double>::infinity();
     bad_streak_ = 0;
@@ -63,6 +64,9 @@ class HealthMonitor {
   double best_loss_ = std::numeric_limits<double>::infinity();
   int bad_streak_ = 0;
 };
+
+/// Lowest loss (1 - fit) over a fit history; +inf when empty.
+double best_fit_loss(const std::vector<double>& fit_history);
 
 /// Multiplicatively jitters every factor entry by up to \p scale, drawing
 /// from \p rng — the "perturb" half of rollback-and-perturb, nudging a

@@ -202,6 +202,19 @@ SparseTensor read_bin_file(const std::string& path) {
   for (auto& d : dims) {
     in.read(reinterpret_cast<char*>(&d), sizeof(d));
   }
+  SPTD_CHECK(in.good(), "read_bin_file: truncated header in " + path);
+  // Size the arrays from the bytes actually present, never from the
+  // header alone: a lying nnz must fail here, not in the allocator.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  const auto left = static_cast<std::uint64_t>(file_end - header_end);
+  const std::uint64_t record = order * sizeof(idx_t) + sizeof(val_t);
+  SPTD_CHECK(nnz <= left / record,
+             "read_bin_file: header claims " + std::to_string(nnz) +
+                 " nonzeros but " + path + " holds at most " +
+                 std::to_string(left / record));
   SparseTensor t(dims);
   t.resize_nnz(nnz);
   for (std::uint32_t m = 0; m < order; ++m) {

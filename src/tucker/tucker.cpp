@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <limits>
 #include <memory>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -419,53 +417,15 @@ TuckerResult tucker_hooi(const SparseTensor& x,
     orthonormalize_columns(model.factors.back());
   }
 
-  ResilienceContext rctx(options.resilience, "tucker", options.seed);
-  int it = 0;
-  double prev_fit = 0.0;
-  if (std::optional<Checkpoint> ck = rctx.try_resume()) {
-    SPTD_CHECK(ck->factors.size() == static_cast<std::size_t>(order),
-               "tucker resume: checkpoint order mismatch");
-    for (int m = 0; m < order; ++m) {
-      const la::Matrix& f = ck->factors[static_cast<std::size_t>(m)];
-      SPTD_CHECK(f.rows() == x.dim(m) &&
-                     f.cols() ==
-                         options.core_dims[static_cast<std::size_t>(m)],
-                 "tucker resume: checkpoint factor shape mismatch");
-    }
-    // The core comes from the final mode's TTMc of the last iteration, so
-    // a resumed run must execute at least one sweep to regenerate it.
-    SPTD_CHECK(ck->iteration < options.max_iterations,
-               "tucker resume: checkpoint already at max_iterations");
-    model.factors = std::move(ck->factors);
-    if (const std::vector<double>* fh = ck->find_series("fit_history")) {
-      result.fit_history = *fh;
-      double best_loss = std::numeric_limits<double>::infinity();
-      for (const double f : *fh) {
-        best_loss = std::min(best_loss, 1.0 - f);
-      }
-      rctx.health().seed_trend(best_loss);
-    }
-    prev_fit = ck->scalar("prev_fit", 0.0);
-    it = ck->iteration;
-    result.iterations = it;
-  }
-
   la::Matrix last_w;  // final mode's TTMc output, reused for the core
   static const std::vector<val_t> kNoLambda;
+  double fit = 0.0;
+  double prev_fit = 0.0;
 
-  const bool guard = rctx.health().enabled();
-  struct GoodState {
-    std::vector<la::Matrix> factors;
-    std::vector<double> fit_history;
-    double prev_fit = 0.0;
-    int iteration = 0;
-  } good;
-  if (guard) {
-    good = {model.factors, result.fit_history, prev_fit, it};
-  }
-
-  bool stopped = false;
-  while (it < options.max_iterations && !stopped) {
+  IterationHooks hooks;
+  hooks.factors = &model.factors;
+  hooks.lambda = &kNoLambda;
+  hooks.sweep = [&](int) {
     val_t core_norm_sq = 0;
     for (int m = 0; m < order; ++m) {
       const idx_t rm = options.core_dims[static_cast<std::size_t>(m)];
@@ -521,67 +481,51 @@ TuckerResult tucker_hooi(const SparseTensor& x,
         last_w = std::move(w);
       }
     }
-
-    if (FaultInjector* inj = rctx.injector()) {
-      inj->corrupt_factors(model.factors, it);
-    }
-
     // Fit from the projection identity: ||X - X̂||² = ||X||² - ||G||².
     val_t residual_sq = norm_x - core_norm_sq;
     if (residual_sq < val_t{0}) residual_sq = 0;
-    const double fit =
-        1.0 - std::sqrt(static_cast<double>(residual_sq)) /
-                  std::sqrt(static_cast<double>(norm_x));
-
-    if (guard) {
-      const HealthIssue issue =
-          rctx.health().inspect(model.factors, kNoLambda, 1.0 - fit);
-      if (issue != HealthIssue::kNone) {
-        rctx.fail_or_retry(issue, it);  // throws when retries are exhausted
-        model.factors = good.factors;
-        result.fit_history = good.fit_history;
-        prev_fit = good.prev_fit;
-        it = good.iteration;
-        perturb_factors(model.factors, rctx.recovery_rng());
-        // Jitter breaks column orthonormality, which HOOI's projection
-        // identity depends on — restore it before re-entering the sweep.
-        for (la::Matrix& f : model.factors) {
-          orthonormalize_columns(f);
-          if (options.precision == Precision::kF32) {
-            la::round_through_f32(f);
-          }
-        }
-        continue;
-      }
-      rctx.note_healthy();
-    }
-
+    fit = 1.0 - std::sqrt(static_cast<double>(residual_sq)) /
+                    std::sqrt(static_cast<double>(norm_x));
+  };
+  hooks.loss = [&](int, bool) { return 1.0 - fit; };
+  hooks.accept = [&](int it) {
     result.fit_history.push_back(fit);
-    if (options.tolerance > 0.0 && it > 0 &&
-        std::abs(fit - prev_fit) < options.tolerance) {
-      stopped = true;
-    }
+    const bool converged = options.tolerance > 0.0 && it > 0 &&
+                           std::abs(fit - prev_fit) < options.tolerance;
     prev_fit = fit;
-    ++it;
-    result.iterations = it;
-
-    if (guard) {
-      good.factors = model.factors;
-      good.fit_history = result.fit_history;
-      good.prev_fit = prev_fit;
-      good.iteration = it;
+    return converged;
+  };
+  hooks.save = [&](Checkpoint& ck) {
+    ck.factors = model.factors;
+    ck.set_series("fit_history", result.fit_history);
+    ck.set_scalar("prev_fit", prev_fit);
+  };
+  hooks.restore = [&](const Checkpoint& ck) {
+    ck.check_factor_shapes(x.dims(), options.core_dims, "tucker");
+    // The core comes from the final mode's TTMc of the last iteration, so
+    // a restored run must execute at least one sweep to regenerate it.
+    SPTD_CHECK(ck.iteration < options.max_iterations,
+               "tucker restore: checkpoint already at max_iterations");
+    model.factors = ck.factors;
+    const std::vector<double>* fh = ck.find_series("fit_history");
+    result.fit_history = fh ? *fh : std::vector<double>{};
+    prev_fit = ck.scalar("prev_fit", 0.0);
+  };
+  hooks.best_loss = [&] { return best_fit_loss(result.fit_history); };
+  hooks.after_perturb = [&] {
+    // Jitter breaks column orthonormality, which HOOI's projection
+    // identity depends on — restore it before re-entering the sweep.
+    for (la::Matrix& f : model.factors) {
+      orthonormalize_columns(f);
+      if (options.precision == Precision::kF32) {
+        la::round_through_f32(f);
+      }
     }
+  };
 
-    if (!stopped && it < options.max_iterations && rctx.checkpoint_due(it)) {
-      Checkpoint ck;
-      ck.iteration = it;
-      ck.factors = model.factors;
-      ck.set_series("fit_history", result.fit_history);
-      ck.set_scalar("prev_fit", prev_fit);
-      rctx.save_checkpoint(std::move(ck));
-    }
-  }
-  rctx.finish(result.resilience);
+  ResilienceContext rctx(options.resilience, "tucker", options.seed);
+  result.iterations = run_iterations(rctx, hooks, options.max_iterations,
+                                     result.resilience);
 
   // Core: G_(last) = U(last)^T W_last, remapped into the model's
   // last-mode-fastest linearization.

@@ -8,7 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/options.hpp"
-#include "cpd/completion.hpp"
+#include "completion/completion.hpp"
 #include "cpd/cpals.hpp"
 #include "csf/csf.hpp"
 #include "la/eigen.hpp"

@@ -102,6 +102,24 @@ TEST(ModelIo, RejectsRankMismatchInFactor) {
   EXPECT_THROW(read_model(in), Error);
 }
 
+TEST(ModelIo, HugeHeaderSizesFailWithoutAllocating) {
+  // Sizes come from the tokens present, never from the header: a short
+  // v1 file claiming rank 4e9 (a 32 GB lambda) or 4e9 factor rows must
+  // fail at the first missing value.
+  std::istringstream huge_rank(
+      "sptd-kruskal 1\n"
+      "order 1 rank 4000000000\n"
+      "lambda\n1 1\n");
+  EXPECT_THROW(read_model(huge_rank), Error);
+  std::istringstream huge_rows(
+      "sptd-kruskal 1\n"
+      "order 1 rank 2\n"
+      "lambda\n1 1\n"
+      "factor 0 4000000000 2\n"
+      "1 2\n3 4\n");
+  EXPECT_THROW(read_model(huge_rows), Error);
+}
+
 TEST(ModelIo, MissingFileThrows) {
   EXPECT_THROW(read_model_file("/nonexistent/model.txt"), Error);
 }

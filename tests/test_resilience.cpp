@@ -1,5 +1,6 @@
 // Tests for src/resilience: checksums, atomic writes, checkpoint
-// round-trips and rotation, bitwise kill-and-resume equivalence for every
+// round-trips and rotation, the run_iterations() skeleton against a
+// scripted driver, bitwise kill-and-resume equivalence for every
 // iterative driver, health-monitor semantics, and the rank-deficient
 // Tikhonov-retry path.
 
@@ -7,10 +8,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "dist/dist_cpals.hpp"
 #include "la/cholesky.hpp"
 #include "resilience/checkpoint.hpp"
+#include "resilience/context.hpp"
 #include "resilience/health.hpp"
 #include "tensor/synthetic.hpp"
 #include "tucker/tucker.hpp"
@@ -321,6 +326,202 @@ TEST(HealthMonitor, PerturbFactorsIsSmallAndFinite) {
       EXPECT_NE(v, 2.0);  // jitter actually moved the entry
     }
   }
+}
+
+// ------------------------------------------------ run_iterations skeleton
+
+/// A scripted driver for run_iterations(): one 1x1 factor holding the
+/// number of sweeps its state has seen, a loss per (iteration, attempt)
+/// from a script, and a record of every hook call the skeleton makes.
+struct FakeDriver {
+  std::vector<la::Matrix> factors{la::Matrix(1, 1)};
+  std::vector<val_t> lambda;
+  std::vector<double> history;  ///< loss of each accepted iteration
+  /// Loss of attempt `attempt` (1-based) at iteration `it`.
+  std::function<double(int it, int attempt)> script = [](int, int) {
+    return 0.5;
+  };
+  int stop_after = -1;  ///< accept() stops the run at this iteration
+
+  std::vector<int> sweeps;               ///< iteration of every sweep
+  std::vector<int> restored;             ///< iteration of every restore
+  std::vector<std::size_t> restored_history;  ///< history length then
+  std::vector<double> perturbed;         ///< factor value after jitter
+  std::map<int, int> attempts;
+  double last_loss = 0.0;
+
+  IterationHooks hooks() {
+    IterationHooks h;
+    h.factors = &factors;
+    h.lambda = &lambda;
+    h.sweep = [this](int it) {
+      sweeps.push_back(it);
+      factors[0](0, 0) += 1.0;
+      ++attempts[it];
+    };
+    h.loss = [this](int it, bool) {
+      last_loss = script(it, attempts[it]);
+      return last_loss;
+    };
+    h.accept = [this](int it) {
+      history.push_back(last_loss);
+      return it == stop_after;
+    };
+    h.save = [this](Checkpoint& ck) {
+      ck.factors = factors;
+      ck.set_series("loss", history);
+    };
+    h.restore = [this](const Checkpoint& ck) {
+      factors = ck.factors;
+      history = *ck.find_series("loss");
+      restored.push_back(ck.iteration);
+      restored_history.push_back(history.size());
+    };
+    h.best_loss = [this] {
+      double best = std::numeric_limits<double>::infinity();
+      for (const double l : history) best = std::min(best, l);
+      return best;
+    };
+    h.after_perturb = [this] { perturbed.push_back(factors[0](0, 0)); };
+    return h;
+  }
+};
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(RunIterations, RollbackRestoresLastHealthyIterationAndHistory) {
+  FakeDriver d;
+  d.script = [](int it, int attempt) {
+    return it == 2 && attempt == 1 ? kNaN : 0.5;
+  };
+  ResilienceContext ctx({}, "fake", 1);
+  ResilienceCounters out;
+  EXPECT_EQ(run_iterations(ctx, d.hooks(), 4, out), 4);
+  EXPECT_EQ(d.sweeps, (std::vector<int>{0, 1, 2, 2, 3}));
+  ASSERT_EQ(d.restored, std::vector<int>{2});
+  EXPECT_EQ(d.restored_history, std::vector<std::size_t>{2});
+  // The failed sweep's effect was discarded: the state had seen 2 sweeps
+  // when it was jittered (by at most 1e-3 relative).
+  ASSERT_EQ(d.perturbed.size(), 1u);
+  EXPECT_NEAR(d.perturbed[0], 2.0, 2.0 * 1e-3);
+  EXPECT_EQ(d.history.size(), 4u);
+  EXPECT_EQ(out.retries, 1);
+  EXPECT_EQ(out.rollbacks, 1);
+}
+
+TEST(RunIterations, HealthyIterationResetsRetryStreak) {
+  // Two separate incidents with one healthy iteration between them: each
+  // fits a budget of one retry because the streak resets.
+  FakeDriver d;
+  d.script = [](int it, int attempt) {
+    return (it == 1 || it == 3) && attempt == 1 ? kNaN : 0.5;
+  };
+  ResilienceOptions opts;
+  opts.max_retries = 1;
+  ResilienceContext ctx(opts, "fake", 1);
+  ResilienceCounters out;
+  EXPECT_EQ(run_iterations(ctx, d.hooks(), 5, out), 5);
+  EXPECT_EQ(out.retries, 2);
+  EXPECT_EQ(d.restored, (std::vector<int>{1, 3}));
+}
+
+TEST(RunIterations, ExhaustedRetriesThrowWithFailingIteration) {
+  FakeDriver d;
+  d.script = [](int it, int) { return it == 2 ? kNaN : 0.5; };
+  ResilienceOptions opts;
+  opts.max_retries = 2;
+  ResilienceContext ctx(opts, "fake", 1);
+  ResilienceCounters out;
+  try {
+    run_iterations(ctx, d.hooks(), 5, out);
+    FAIL() << "expected ResilienceError";
+  } catch (const ResilienceError& e) {
+    EXPECT_EQ(e.iteration(), 2);
+    EXPECT_EQ(e.retries(), 2);
+    EXPECT_EQ(e.issue(), HealthIssue::kNonFiniteLoss);
+  }
+  EXPECT_EQ(d.attempts[2], 3);
+}
+
+TEST(RunIterations, NoCheckpointAtFinalIterationOrAfterToleranceStop) {
+  ScratchDir dir("skeleton_cadence");
+  ResilienceOptions opts;
+  opts.checkpoint_dir = dir.path();
+  opts.checkpoint_every = 1;
+  {
+    FakeDriver d;
+    ResilienceContext ctx(opts, "fake", 1);
+    ResilienceCounters out;
+    EXPECT_EQ(run_iterations(ctx, d.hooks(), 3, out), 3);
+    EXPECT_EQ(out.checkpoints, 2);  // after 1 and 2, not after 3
+    EXPECT_EQ(CheckpointManager::load_latest(dir.path(), "fake")->iteration,
+              2);
+  }
+  fs::remove_all(dir.path());
+  fs::create_directories(dir.path());
+  {
+    FakeDriver d;
+    d.stop_after = 1;  // accept() converges at iteration 1
+    ResilienceContext ctx(opts, "fake", 1);
+    ResilienceCounters out;
+    EXPECT_EQ(run_iterations(ctx, d.hooks(), 5, out), 2);
+    EXPECT_EQ(out.checkpoints, 1);  // after 1 only
+    EXPECT_EQ(CheckpointManager::load_latest(dir.path(), "fake")->iteration,
+              1);
+  }
+}
+
+TEST(RunIterations, ResumeSeedsHealthTrendFromRestoredHistory) {
+  ScratchDir dir("skeleton_resume");
+  ResilienceOptions opts;
+  opts.checkpoint_dir = dir.path();
+  opts.checkpoint_every = 2;
+  opts.divergence_patience = 1;
+  opts.max_retries = 0;
+  {
+    FakeDriver d;
+    d.script = [](int, int) { return 0.1; };
+    ResilienceContext ctx(opts, "fake", 1);
+    ResilienceCounters out;
+    run_iterations(ctx, d.hooks(), 3, out);  // snapshot after 2
+  }
+  // 0.5 is clearly worse than the restored best of 0.1: a fresh trend
+  // would accept it as its first loss, a seeded one flags divergence.
+  opts.resume = true;
+  FakeDriver d;
+  d.script = [](int, int) { return 0.5; };
+  ResilienceContext ctx(opts, "fake", 1);
+  ResilienceCounters out;
+  try {
+    run_iterations(ctx, d.hooks(), 4, out);
+    FAIL() << "expected ResilienceError";
+  } catch (const ResilienceError& e) {
+    EXPECT_EQ(e.issue(), HealthIssue::kDivergence);
+    EXPECT_EQ(e.iteration(), 2);
+  }
+  EXPECT_EQ(d.restored, std::vector<int>{2});
+  EXPECT_EQ(d.restored_history, std::vector<std::size_t>{2});
+}
+
+TEST(RunIterations, RollbackDoesNotRewindRecoveryRng) {
+  // Two failed attempts roll back to the same snapshot, which carries the
+  // RNG state stamped by its on-disk write. A rewind would jitter both
+  // retries identically.
+  ScratchDir dir("skeleton_rng");
+  ResilienceOptions opts;
+  opts.checkpoint_dir = dir.path();
+  opts.checkpoint_every = 1;
+  opts.max_retries = 3;
+  FakeDriver d;
+  d.script = [](int it, int attempt) {
+    return it == 1 && attempt <= 2 ? kNaN : 0.5;
+  };
+  ResilienceContext ctx(opts, "fake", 1);
+  ResilienceCounters out;
+  run_iterations(ctx, d.hooks(), 3, out);
+  EXPECT_EQ(d.restored, (std::vector<int>{1, 1}));
+  ASSERT_EQ(d.perturbed.size(), 2u);
+  EXPECT_NE(d.perturbed[0], d.perturbed[1]);
 }
 
 // -------------------------------------------------- bitwise resume: cpals

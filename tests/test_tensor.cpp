@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -372,6 +375,34 @@ TEST(Io, BinRejectsBadMagic) {
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOTMAGIC and some junk";
+  }
+  EXPECT_THROW(read_bin_file(path), Error);
+  std::remove(path.c_str());
+}
+
+TEST(Io, BinRejectsLyingHeaderBeforeAllocating) {
+  // A 32-byte file: magic, order 3, nnz 2^40, three dims, no payload.
+  // The reader must refuse from the file size, not attempt 2^40 entries.
+  const std::string path = temp_path("sptd_test_lying.bin");
+  write_bin_file(tiny_tensor(), path);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::memcpy(&bytes[12], &huge, sizeof(huge));
+  bytes.resize(32);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  EXPECT_THROW(read_bin_file(path), Error);
+  // Dims cut short: the header itself is truncated.
+  bytes.resize(24);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
   }
   EXPECT_THROW(read_bin_file(path), Error);
   std::remove(path.c_str());

@@ -545,6 +545,13 @@ echo "== bench compare vs bench/baseline.json =="
 python3 tools/bench_compare.py bench/baseline.json "$SMOKE_JSON" \
   --threshold 3.0 --min-seconds 1e-3
 
+# The benchmark's own self-test: perfbench/ builds libsptd from src/ in
+# its own tree and checks that every workload reports every metric
+# BENCHMARK.json names, so a library change that breaks the benchmark's
+# build or its output fails here rather than at benchmark time.
+echo "== benchmark self-test: perfbench/test_perfbench.py =="
+python3 perfbench/test_perfbench.py
+
 # Sanitized tier-1: the whole gtest suite under ASan + UBSan. Bench and
 # examples are skipped (the suite covers the library; sanitized bench
 # timings are meaningless anyway). Set SPTD_CI_SKIP_ASAN=1 for a quick

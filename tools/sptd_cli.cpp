@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "sptd.hpp"
@@ -572,6 +573,12 @@ int main(int argc, char** argv) {
     return 1;
   } catch (const sptd::Error& e) {
     std::fprintf(stderr, "sptd %s: %s\n", cmd.c_str(), e.what());
+    return 1;
+  } catch (const std::exception& e) {
+    // Anything that escaped the structured checks (e.g. std::bad_alloc)
+    // still ends the run with a report and a nonzero exit, not an abort.
+    std::fprintf(stderr, "sptd %s: internal error: %s\n", cmd.c_str(),
+                 e.what());
     return 1;
   }
 }
