@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== Ablation: CSF policy (one/two/all) ==\n");
@@ -40,10 +41,9 @@ int main(int argc, char** argv) {
                             CsfPolicy::kAllMode}) {
     SparseTensor work = base;
     const CsfSet set(work, policy, nthreads, nullptr,
-                     SortVariant::kAllOpts, csf_layout_flag(cli));
-    MttkrpOptions mo;
+                     SortVariant::kAllOpts, exec.csf_layout);
+    MttkrpOptions mo{exec};
     mo.nthreads = nthreads;
-    apply_kernel_flags(cli, mo);
     std::string strategies;
     const double secs =
         time_mttkrp_sweeps(set, factors, rank, mo, iters, &strategies);

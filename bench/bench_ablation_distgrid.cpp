@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   const TransportKind transport =
       parse_transport(cli.get_string("transport"));
   if (transport != TransportKind::kShm) {
@@ -56,12 +57,11 @@ int main(int argc, char** argv) {
   std::printf("%-10s %12s %12s %12s %10s\n", "grid", "comm model",
               "measured", "max/avg nnz", "final fit");
   for (const auto& grid : grids) {
-    DistOptions opts;
+    DistOptions opts{exec};
     opts.grid = grid;
     opts.rank = rank;
     opts.max_iterations = iters;
     opts.transport = transport;
-    apply_kernel_flags(cli, opts);
     const DistResult r = dist_cp_als(x, opts);
     nnz_t max_nnz = 0;
     for (const nnz_t n : r.locale_nnz) {

@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== Ablation: oversubscription (Section V-E analogue) ==\n");
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
   const int iters = static_cast<int>(cli.get_int("iters"));
   const auto factors = make_factors(x, rank, 7);
   const CsfSet set(x, CsfPolicy::kTwoMode, hardware_threads(), nullptr,
-                   SortVariant::kAllOpts, csf_layout_flag(cli));
+                   SortVariant::kAllOpts, exec.csf_layout);
   const auto threads = cli.get_int_list("threads-list");
 
   // Fixed-size inverse problem (rank x rank normal equations over the
@@ -77,9 +78,8 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %12s %12s\n", "threads", "mttkrp", "inverse",
               "matnorm");
   for (const int t : threads) {
-    MttkrpOptions mo;
+    MttkrpOptions mo{exec};
     mo.nthreads = t;
-    apply_kernel_flags(cli, mo);
     const double mttkrp_s =
         time_mttkrp_sweeps(set, factors, rank, mo, iters);
 
@@ -126,12 +126,12 @@ int main(int argc, char** argv) {
     // the larger the requested teams, the starker the gap.
     const int team =
         std::max(2, *std::max_element(threads.begin(), threads.end()));
-    CpalsOptions co;
+    CpalsOptions co{exec};
     co.rank = rank;
     co.max_iterations = iters;
     co.tolerance = 0.0;
     co.nthreads = team;
-    apply_kernel_flags(cli, co);
+    apply_checkpoint_flags(cli, co);
 
     // Private tensor copies built before the clock starts: the measured
     // window is decomposition work (sort/CSF build + iterations), the

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== Ablation: value-stream precision (f64/f32/mixed) ==\n");
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
 
   SparseTensor work = base;
   const CsfSet set(work, CsfPolicy::kTwoMode, nthreads, nullptr,
-                   SortVariant::kAllOpts, csf_layout_flag(cli));
+                   SortVariant::kAllOpts, exec.csf_layout);
 
   std::printf("# %d thread(s); seconds for %d MTTKRP sweeps; fit after "
               "%d CP-ALS iterations\n", nthreads, iters, iters);
@@ -48,18 +49,17 @@ int main(int argc, char** argv) {
   double f64_fit = 0.0;
   for (const auto p :
        {Precision::kF64, Precision::kF32, Precision::kMixed}) {
-    MttkrpOptions mo;
+    MttkrpOptions mo{exec};
     mo.nthreads = nthreads;
-    apply_kernel_flags(cli, mo);
     mo.precision = p;
     const double secs = time_mttkrp_sweeps(set, factors, rank, mo, iters);
 
-    CpalsOptions co;
+    CpalsOptions co{exec};
     co.rank = rank;
     co.max_iterations = iters;
     co.tolerance = 0.0;
     co.nthreads = nthreads;
-    apply_kernel_flags(cli, co);
+    apply_checkpoint_flags(cli, co);
     co.precision = p;
     SparseTensor trial = base;
     const CpalsResult r = cp_als(trial, co);

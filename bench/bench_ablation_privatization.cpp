@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== Ablation: synchronization strategy for non-root MTTKRP "
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
   const int iters = static_cast<int>(cli.get_int("iters"));
   const auto factors = make_factors(x, rank, 7);
   const CsfSet set(x, CsfPolicy::kOneMode, hardware_threads(), nullptr,
-                   SortVariant::kAllOpts, csf_layout_flag(cli));
+                   SortVariant::kAllOpts, exec.csf_layout);
   const auto threads = cli.get_int_list("threads-list");
 
   struct Config {
@@ -53,9 +54,8 @@ int main(int argc, char** argv) {
     std::vector<double> seconds;
     std::string strategies;
     for (const int t : threads) {
-      MttkrpOptions mo;
+      MttkrpOptions mo{exec};
       mo.nthreads = t;
-      apply_kernel_flags(cli, mo);
       mo.force_locks = cfg.force_locks;
       mo.privatization_threshold = cfg.threshold;
       std::string* strat =

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== Ablation: rank sweep ==\n");
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
   const int iters = static_cast<int>(cli.get_int("iters"));
   const int nthreads = cli.get_int_list("threads-list").front();
   const CsfSet set(x, CsfPolicy::kTwoMode, hardware_threads(), nullptr,
-                   SortVariant::kAllOpts, csf_layout_flag(cli));
+                   SortVariant::kAllOpts, exec.csf_layout);
 
   std::printf("# %d thread(s); seconds for %d MTTKRP sweeps\n", nthreads,
               iters);
@@ -42,9 +43,8 @@ int main(int argc, char** argv) {
     double secs[2] = {0, 0};
     int which = 0;
     for (const auto ra : {RowAccess::kPointer, RowAccess::kSlice}) {
-      MttkrpOptions mo;
+      MttkrpOptions mo{exec};
       mo.nthreads = nthreads;
-      apply_kernel_flags(cli, mo);
       mo.row_access = ra;
       // This ablation isolates the row-access idiom: rank specialization
       // would otherwise accelerate only the pointer column at ranks with

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== Ablation: slice relabeling and MTTKRP locality ==\n");
@@ -47,10 +48,9 @@ int main(int argc, char** argv) {
     }
     const auto factors = make_factors(t, rank, 7);
     const CsfSet set(t, CsfPolicy::kTwoMode, nthreads, nullptr,
-                     SortVariant::kAllOpts, csf_layout_flag(cli));
-    MttkrpOptions mo;
+                     SortVariant::kAllOpts, exec.csf_layout);
+    MttkrpOptions mo{exec};
     mo.nthreads = nthreads;
-    apply_kernel_flags(cli, mo);
     const double secs = time_mttkrp_sweeps(set, factors, rank, mo, iters);
     std::printf("  %-10s %10.4f s\n", labels[which], secs);
     emit_json_record(cli, "ablation_reorder",

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   const auto rank = static_cast<idx_t>(cli.get_int("rank"));
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
       // weighted (default) balances tiles by nonzero count. Dynamic /
       // workstealing requests coerce to weighted — the JSON record
       // carries the policy that actually shaped the tiles.
-      const TiledTensor tiled(x, mode, nthreads, schedule_flag(cli));
+      const TiledTensor tiled(x, mode, nthreads, exec.schedule);
       const double s = time_reps(iters, [&] {
         mttkrp_tiled(tiled, factors, out);
       });
@@ -117,11 +118,10 @@ int main(int argc, char** argv) {
       SparseTensor work = x;
       // Root the CSF away from the output mode so the kernel conflicts.
       const CsfSet set(work, CsfPolicy::kOneMode, nthreads, nullptr,
-                       SortVariant::kAllOpts, csf_layout_flag(cli));
+                       SortVariant::kAllOpts, exec.csf_layout);
       for (const bool privatize : {false, true}) {
-        MttkrpOptions mo;
+        MttkrpOptions mo{exec};
         mo.nthreads = nthreads;
-        apply_kernel_flags(cli, mo);
         mo.force_locks = !privatize;
         mo.privatization_threshold = privatize ? 1e18 : 0.0;
         MttkrpWorkspace ws(mo, rank, x.order());
@@ -137,9 +137,8 @@ int main(int argc, char** argv) {
       int level = 0;
       const CsfTensor& rep = set.csf_for_mode(mode, level);
       if (level == rep.order() - 1) {
-        MttkrpOptions mo;
+        MttkrpOptions mo{exec};
         mo.nthreads = nthreads;
-        apply_kernel_flags(cli, mo);
         mo.use_tiling = true;
         MttkrpWorkspace ws(mo, rank, x.order());
         const double s = time_reps(iters, [&] {

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== Ablation: TTMc over COO vs CSF ==\n");
@@ -36,9 +37,9 @@ int main(int argc, char** argv) {
   const int root = csf.mode_at_level(0);
   // Root-slice schedule built once and reused by every repetition, the
   // same shape tucker_hooi uses.
-  const SliceSchedule slices(schedule_flag(cli), csf.nfibers(0),
+  const SliceSchedule slices(exec.schedule, csf.nfibers(0),
                              csf.root_nnz_prefix(), nthreads,
-                             static_cast<nnz_t>(chunk_flag(cli)));
+                             static_cast<nnz_t>(exec.chunk_target));
 
   std::printf("# root mode %d, %d thread(s), %d repetitions\n", root,
               nthreads, iters);

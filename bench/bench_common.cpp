@@ -21,20 +21,7 @@ void add_common_flags(Options& cli, const char* default_preset,
   cli.add("threads-list", default_threads,
           "thread counts to sweep (paper: 1,2,4,8,16,32)");
   cli.add("seed", "42", "generator seed");
-  cli.add("schedule", "weighted",
-          "slice scheduling policy: static|weighted|dynamic|workstealing");
-  cli.add("chunk", "16",
-          "dynamic/workstealing chunk target (claims per thread)");
-  cli.add("kernels", "fixed",
-          "inner-loop variant: fixed (rank-specialized SIMD) | generic");
-  cli.add("csf-layout", "compressed",
-          "CSF index widths: compressed (narrowest per level) | wide");
-  cli.add("precision", "f64",
-          "value-stream precision: f64 | f32 | mixed (fp32 streams, "
-          "fp64 accumulation)");
-  cli.add("backend", parallel_backend_name(default_parallel_backend()),
-          "parallel backend: omp | pool (persistent std::thread workers; "
-          "composes across concurrent runs in one process)");
+  add_exec_flags(cli, /*with_threads=*/false);
   cli.add("json", "",
           "append one JSON record per measurement to this file");
   cli.add("checkpoint-every", "0",
@@ -45,58 +32,14 @@ void add_common_flags(Options& cli, const char* default_preset,
           "--checkpoint-every is set)");
 }
 
-SchedulePolicy schedule_flag(const Options& cli) {
-  return parse_schedule_policy(cli.get_string("schedule"));
+ExecConfig start_exec(const Options& cli) {
+  const ExecConfig exec = exec_from_flags(cli);
+  set_parallel_backend(exec.backend);
+  validate_exec(exec, "bench");
+  return exec;
 }
 
-CsfLayout csf_layout_flag(const Options& cli) {
-  return parse_csf_layout(cli.get_string("csf-layout"));
-}
-
-Precision precision_flag(const Options& cli) {
-  return parse_precision(cli.get_string("precision"));
-}
-
-namespace {
-
-bool fixed_kernels_flag(const Options& cli) {
-  const std::string k = cli.get_string("kernels");
-  if (k == "fixed") return true;
-  if (k == "generic") return false;
-  throw Error("unknown --kernels value '" + k +
-              "' (expected fixed|generic)");
-}
-
-}  // namespace
-
-ParallelBackendKind backend_flag(const Options& cli) {
-  return parse_parallel_backend(cli.get_string("backend"));
-}
-
-int chunk_flag(const Options& cli) {
-  const auto chunk = cli.get_int("chunk");
-  SPTD_CHECK(chunk >= 1, "--chunk must be >= 1 (claims per thread)");
-  return static_cast<int>(chunk);
-}
-
-void apply_kernel_flags(const Options& cli, MttkrpOptions& opts) {
-  opts.schedule = schedule_flag(cli);
-  opts.chunk_target = chunk_flag(cli);
-  opts.use_fixed_kernels = fixed_kernels_flag(cli);
-  opts.csf_layout = csf_layout_flag(cli);
-  opts.precision = precision_flag(cli);
-  opts.backend = backend_flag(cli);
-  set_parallel_backend(opts.backend);
-}
-
-void apply_kernel_flags(const Options& cli, CpalsOptions& opts) {
-  opts.schedule = schedule_flag(cli);
-  opts.chunk_target = chunk_flag(cli);
-  opts.use_fixed_kernels = fixed_kernels_flag(cli);
-  opts.csf_layout = csf_layout_flag(cli);
-  opts.precision = precision_flag(cli);
-  opts.backend = backend_flag(cli);
-  set_parallel_backend(opts.backend);
+void apply_checkpoint_flags(const Options& cli, CpalsOptions& opts) {
   opts.resilience.checkpoint_every =
       static_cast<int>(cli.get_int("checkpoint-every"));
   if (opts.resilience.checkpoint_every > 0) {
@@ -105,16 +48,6 @@ void apply_kernel_flags(const Options& cli, CpalsOptions& opts) {
       opts.resilience.checkpoint_dir = "bench_ckpt";
     }
   }
-}
-
-void apply_kernel_flags(const Options& cli, DistOptions& opts) {
-  opts.schedule = schedule_flag(cli);
-  opts.chunk_target = chunk_flag(cli);
-  opts.use_fixed_kernels = fixed_kernels_flag(cli);
-  opts.csf_layout = csf_layout_flag(cli);
-  opts.precision = precision_flag(cli);
-  opts.backend = backend_flag(cli);
-  set_parallel_backend(opts.backend);
 }
 
 namespace {
@@ -216,8 +149,7 @@ void emit_json_record(const Options& cli, const char* bench,
   if (!record.has("kernel_width")) {
     // The width the flags select under pointer row access; row-access
     // sweeps set a per-record width instead.
-    MttkrpOptions probe;
-    apply_kernel_flags(cli, probe);
+    const MttkrpOptions probe{exec_from_flags(cli)};
     full.field("kernel_width",
                static_cast<std::int64_t>(selected_kernel_width(
                    static_cast<idx_t>(cli.get_int("rank")), probe)));

@@ -19,46 +19,23 @@
 
 namespace sptd::bench {
 
-/// Registers the flags shared by all harnesses. Besides the sweep knobs
-/// this includes --schedule (slice scheduling policy for the kernels under
-/// test), --chunk (dynamic-schedule claims-per-thread target), --kernels
-/// (fixed = rank-specialized SIMD inner loops where available, generic =
-/// force the runtime-rank loops) and --json (append one JSON record per
-/// measurement to a file, so BENCH_*.json trajectories can compare
-/// runs/policies offline).
+/// Registers the flags shared by all harnesses: the sweep knobs, the
+/// execution flags (add_exec_flags without --threads: benches sweep
+/// --threads-list), --json (append one JSON record per measurement to a
+/// file, so BENCH_*.json trajectories can compare runs/policies offline)
+/// and --checkpoint-every/--checkpoint-dir.
 void add_common_flags(Options& cli, const char* default_preset,
                       const char* default_scale, const char* default_iters,
                       const char* default_threads);
 
-/// The --schedule flag, parsed.
-SchedulePolicy schedule_flag(const Options& cli);
+/// Parses the execution flags, fixes the process backend from --backend
+/// and validates the result. Call once, right after cli.parse(); every
+/// options struct a harness builds starts from it (`MttkrpOptions
+/// mo{exec}`), with nthreads set per sweep point.
+ExecConfig start_exec(const Options& cli);
 
-/// The --csf-layout flag, parsed (compressed = per-level narrowest index
-/// widths, wide = the u32/u64 ablation baseline).
-CsfLayout csf_layout_flag(const Options& cli);
-
-/// The --precision flag, parsed (f64 | f32 | mixed; common/precision.hpp).
-Precision precision_flag(const Options& cli);
-
-/// The --backend flag, parsed (omp | pool; parallel/backend.hpp). The
-/// default comes from SPTD_BACKEND (omp when unset).
-ParallelBackendKind backend_flag(const Options& cli);
-
-/// The --chunk flag, validated (>= 1) before any unsigned conversion can
-/// wrap a negative value into a huge chunk target.
-int chunk_flag(const Options& cli);
-
-/// Applies the common kernel/schedule flags (--schedule, --chunk,
-/// --kernels) onto MTTKRP options.
-void apply_kernel_flags(const Options& cli, MttkrpOptions& opts);
-
-/// Applies the same flags onto CP-ALS options.
-void apply_kernel_flags(const Options& cli, CpalsOptions& opts);
-
-/// Applies the same flags onto the distributed-simulation options (each
-/// locale's plan consumes them), so the emitted JSON fields describe what
-/// actually ran.
-void apply_kernel_flags(const Options& cli, DistOptions& opts);
+/// Applies --checkpoint-every/--checkpoint-dir onto CP-ALS options.
+void apply_checkpoint_flags(const Options& cli, CpalsOptions& opts);
 
 /// One measurement record for the --json sink: insertion-ordered key/value
 /// pairs serialized as a single JSON object per line (JSON Lines). Every

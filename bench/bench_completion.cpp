@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
 
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const auto cfg =
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(train.nnz()),
               static_cast<unsigned long long>(test.nnz()));
 
-  CompletionOptions base;
+  CompletionOptions base{exec};
   base.rank = static_cast<idx_t>(cli.get_int("rank"));
   base.max_iterations = static_cast<int>(cli.get_int("iters"));
   base.tolerance = 0.0;  // fixed work per measurement
@@ -66,9 +67,6 @@ int main(int argc, char** argv) {
   base.learn_rate = cli.get_double("lr");
   base.decay = cli.get_double("decay");
   base.seed = seed + 2;
-  base.schedule = schedule_flag(cli);
-  base.chunk_target = chunk_flag(cli);
-  base.use_fixed_kernels = cli.get_string("kernels") == "fixed";
 
   std::vector<std::string> algs;
   {

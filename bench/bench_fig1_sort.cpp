@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  start_exec(cli);
   const int fig1_trials = std::max(3, static_cast<int>(
       cli.get_int("trials")));
   init_parallel_runtime();

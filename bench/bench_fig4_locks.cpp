@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== Figure 4: sync vs atomic vs fifo-sync locks (%s) ==\n",
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
   const int iters = static_cast<int>(cli.get_int("iters"));
   const auto factors = make_factors(x, rank, 7);
   const CsfSet set(x, CsfPolicy::kTwoMode, hardware_threads(), nullptr,
-                   SortVariant::kAllOpts, csf_layout_flag(cli));
+                   SortVariant::kAllOpts, exec.csf_layout);
   const auto threads = cli.get_int_list("threads-list");
 
   std::printf("# seconds for %d MTTKRP mode sweeps; locks forced on "
@@ -50,12 +51,11 @@ int main(int argc, char** argv) {
                           LockKind::kFifoSync, LockKind::kOmp}) {
     std::vector<double> seconds;
     for (const int t : threads) {
-      MttkrpOptions mo;
+      MttkrpOptions mo{exec};
       mo.nthreads = t;
       mo.row_access = RowAccess::kPointer;
       mo.lock_kind = kind;
       mo.force_locks = true;
-      apply_kernel_flags(cli, mo);
       seconds.push_back(time_mttkrp_sweeps(set, factors, rank, mo, iters));
       emit_json_record(cli, "Figure 4",
                        bench::JsonRecord()

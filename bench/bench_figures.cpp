@@ -15,6 +15,7 @@ int run_rowaccess_figure(const char* fig_label, const char* default_preset,
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== %s: MTTKRP row-access ablation ==\n", fig_label);
@@ -26,7 +27,7 @@ int run_rowaccess_figure(const char* fig_label, const char* default_preset,
   const int iters = static_cast<int>(cli.get_int("iters"));
   const auto factors = make_factors(x, rank, 7);
   const CsfSet set(x, CsfPolicy::kTwoMode, hardware_threads(), nullptr,
-                   SortVariant::kAllOpts, csf_layout_flag(cli));
+                   SortVariant::kAllOpts, exec.csf_layout);
   const auto threads = cli.get_int_list("threads-list");
 
   std::printf("# seconds for %d MTTKRP mode sweeps (all modes each)\n",
@@ -37,10 +38,9 @@ int run_rowaccess_figure(const char* fig_label, const char* default_preset,
     std::vector<double> seconds;
     std::string strategies;
     for (const int t : threads) {
-      MttkrpOptions mo;
+      MttkrpOptions mo{exec};
       mo.nthreads = t;
       mo.lock_kind = LockKind::kAtomic;  // the port's optimized locks
-      apply_kernel_flags(cli, mo);
       mo.row_access = ra;
       // Figures 2-3 compare row-access idioms; keep the arithmetic
       // identical across the series so the gap is the idiom's cost
@@ -80,6 +80,7 @@ int run_routines_figure(const char* fig_label, const char* default_preset,
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== %s: per-routine CP-ALS runtimes ==\n", fig_label);
@@ -96,12 +97,12 @@ int run_routines_figure(const char* fig_label, const char* default_preset,
                 static_cast<long long>(cli.get_int("iters")),
                 static_cast<long long>(cli.get_int("rank")));
     print_routine_header("impl");
-    CpalsOptions base;
+    CpalsOptions base{exec};
     base.rank = static_cast<idx_t>(cli.get_int("rank"));
     base.max_iterations = static_cast<int>(cli.get_int("iters"));
     base.tolerance = 0.0;
     base.nthreads = t;
-    apply_kernel_flags(cli, base);
+    apply_checkpoint_flags(cli, base);
     std::vector<std::uint64_t> steals;
     std::uint64_t csf_bytes = 0;
     std::uint64_t value_bytes = 0;
@@ -149,6 +150,7 @@ int run_scaling_figure(const char* fig_label, const char* default_preset,
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== %s: MTTKRP scaling across implementations ==\n",
@@ -161,7 +163,7 @@ int run_scaling_figure(const char* fig_label, const char* default_preset,
   const int iters = static_cast<int>(cli.get_int("iters"));
   const auto factors = make_factors(x, rank, 7);
   const CsfSet set(x, CsfPolicy::kTwoMode, hardware_threads(), nullptr,
-                   SortVariant::kAllOpts, csf_layout_flag(cli));
+                   SortVariant::kAllOpts, exec.csf_layout);
   const auto threads = cli.get_int_list("threads-list");
 
   std::printf("# seconds for %d MTTKRP mode sweeps (all modes each)\n",
@@ -170,10 +172,9 @@ int run_scaling_figure(const char* fig_label, const char* default_preset,
   for (const auto& variant : impl_variants()) {
     std::vector<double> seconds;
     for (const int t : threads) {
-      MttkrpOptions mo;
+      MttkrpOptions mo{exec};
       mo.nthreads = t;
       mo.lock_kind = variant.lock_kind;
-      apply_kernel_flags(cli, mo);
       mo.row_access = variant.row_access;
       seconds.push_back(time_mttkrp_sweeps(set, factors, rank, mo, iters));
       emit_json_record(cli, fig_label,

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 0;
   }
+  const ExecConfig exec = start_exec(cli);
   init_parallel_runtime();
 
   std::printf("== Table III: CP-ALS routine runtimes, C vs initial port ==\n");
@@ -54,12 +55,12 @@ int main(int argc, char** argv) {
                   preset.c_str(), t,
                   static_cast<long long>(cli.get_int("iters")));
       print_routine_header("impl");
-      CpalsOptions base;
+      CpalsOptions base{exec};
       base.rank = static_cast<idx_t>(cli.get_int("rank"));
       base.max_iterations = static_cast<int>(cli.get_int("iters"));
       base.tolerance = 0.0;
       base.nthreads = t;
-      apply_kernel_flags(cli, base);
+      apply_checkpoint_flags(cli, base);
       const auto results = run_impls_fair(x, base, impls, trials);
       for (std::size_t i = 0; i < impls.size(); ++i) {
         print_routine_row(impls[i].c_str(), results[i]);

@@ -32,6 +32,11 @@ class Options {
   /// Returns false if --help was requested (help text already printed).
   bool parse(int argc, const char* const* argv);
 
+  /// True if an option of this name was registered.
+  [[nodiscard]] bool has(const std::string& name) const {
+    return opts_.count(name) > 0;
+  }
+
   /// True if the option was given on the command line (not just defaulted).
   [[nodiscard]] bool given(const std::string& name) const;
 

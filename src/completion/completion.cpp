@@ -93,8 +93,7 @@ CompletionResult complete_tensor(const SparseTensor& train,
   SPTD_CHECK(options.rank >= 1, "complete_tensor: rank must be >= 1");
   SPTD_CHECK(options.max_iterations >= 1,
              "complete_tensor: need >= 1 iteration");
-  SPTD_CHECK(options.nthreads >= 1,
-             "complete_tensor: nthreads must be >= 1");
+  validate_exec(options, "complete_tensor", kExecLayout);
   if (options.algorithm == CompletionAlgorithm::kSgd) {
     SPTD_CHECK(options.learn_rate > 0.0,
                "complete_tensor: SGD needs --lr > 0");
@@ -105,7 +104,6 @@ CompletionResult complete_tensor(const SparseTensor& train,
     SPTD_CHECK(validation->order() == train.order(),
                "complete_tensor: validation order mismatch");
   }
-  set_parallel_backend(options.backend);
   init_parallel_runtime();
 
   const int order = train.order();

@@ -22,11 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "common/precision.hpp"
+#include "common/exec_config.hpp"
 #include "common/types.hpp"
 #include "cpd/kruskal.hpp"
-#include "parallel/backend.hpp"
-#include "parallel/schedule.hpp"
 #include "resilience/resilience.hpp"
 #include "tensor/coo.hpp"
 
@@ -45,8 +43,17 @@ CompletionAlgorithm parse_completion_algorithm(const std::string& name);
 /// Flag/log name of an algorithm.
 const char* completion_algorithm_name(CompletionAlgorithm alg);
 
-/// Knobs for tensor completion (all solvers).
-struct CompletionOptions {
+/// Knobs for tensor completion (all solvers): the shared execution knobs
+/// (common/exec_config.hpp) plus the solvers' own. The per-mode slice
+/// schedules are built once in the workspace and reused by every pass;
+/// SGD stratum boundaries always come from a *static* prediction (the
+/// weighted partition, or equal slice counts under kStatic) because
+/// stratum ownership must not move at run time. Completion builds no CSF,
+/// so complete_tensor rejects a non-default csf_layout. f32/mixed read
+/// the observed training values through an fp32 copy, widened at the
+/// read (errors, gradients, row solves, the CCD++ residual and all RMSEs
+/// stay fp64); f32 also rounds every factor through fp32 per epoch.
+struct CompletionOptions : ExecConfig {
   idx_t rank = 10;
   /// Which solver runs (`--alg als|sgd|ccd`).
   CompletionAlgorithm algorithm = CompletionAlgorithm::kAls;
@@ -63,34 +70,6 @@ struct CompletionOptions {
   /// learn_rate / (1 + decay * e). Ignored by ALS and CCD++.
   double decay = 0.01;
   std::uint64_t seed = 31;
-  int nthreads = 1;
-  /// Slice scheduling for the per-mode row/column passes (static |
-  /// weighted | dynamic | workstealing); the schedules are built once per
-  /// mode in the workspace and reused across all iterations (reset() per
-  /// pass rewinds the dynamic cursor / reseeds the work-stealing deques).
-  /// SGD stratum boundaries always come from a *static* prediction (the
-  /// weighted partition, or equal slice counts under kStatic) because
-  /// stratum ownership must not move at run time.
-  SchedulePolicy schedule = SchedulePolicy::kWeighted;
-  /// Dynamic/work-stealing claims-per-thread target (the --chunk flag).
-  int chunk_target = static_cast<int>(SliceSchedule::kDefaultChunkTarget);
-  /// Route inner loops through the rank-specialized fixed-width kernels
-  /// where the rank has one (la/kernels.hpp); false forces the generic
-  /// runtime-length loops (the scalar reference path).
-  bool use_fixed_kernels = true;
-  /// Value-stream precision (common/precision.hpp). f64 is the exact
-  /// pre-precision pipeline. f32/mixed read the observed training values
-  /// through an fp32 copy (the per-epoch value stream of every solver) —
-  /// widened at the read, so errors, gradients, row solves, the CCD++
-  /// residual, and all RMSEs still accumulate fp64. f32 additionally
-  /// rounds every factor through fp32 after each epoch (the pure-fp32
-  /// ablation endpoint mixed is judged against).
-  Precision precision = Precision::kF64;
-  /// Parallel backend (parallel/backend.hpp): omp (default) or pool.
-  /// The completion driver applies this process-wide via
-  /// set_parallel_backend() before building the workspace; defaults from
-  /// SPTD_BACKEND.
-  ParallelBackendKind backend = default_parallel_backend();
 
   /// Checkpoint/restart, numeric-health guards, and fault injection
   /// (inert by default). Checkpoints carry the best-validation model and

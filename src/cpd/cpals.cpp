@@ -105,8 +105,7 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
                        const CpalsOptions& options) {
   SPTD_CHECK(options.rank >= 1, "cp_als: rank must be >= 1");
   SPTD_CHECK(options.max_iterations >= 1, "cp_als: need >= 1 iteration");
-  SPTD_CHECK(options.nthreads >= 1, "cp_als: nthreads must be >= 1");
-  set_parallel_backend(options.backend);
+  validate_exec(options, "cp_als");
   init_parallel_runtime();
 
   const CsfTensor& first = csf_set.csfs().front();
@@ -148,19 +147,14 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
   };
   refresh_grams();
 
-  MttkrpOptions mopts;
-  mopts.nthreads = nthreads;
+  // The execution knobs carry over whole; the sync/row-access choices
+  // are CP-ALS options of the same name.
+  MttkrpOptions mopts{options};
   mopts.row_access = options.row_access;
   mopts.lock_kind = options.lock_kind;
-  mopts.schedule = options.schedule;
-  mopts.chunk_target = options.chunk_target;
   mopts.privatization_threshold = options.privatization_threshold;
   mopts.force_locks = options.force_locks;
   mopts.allow_privatization = options.allow_privatization;
-  mopts.use_fixed_kernels = options.use_fixed_kernels;
-  mopts.csf_layout = options.csf_layout;
-  mopts.precision = options.precision;
-  mopts.backend = options.backend;
   // All scheduling decisions — representation/level per mode, sync
   // strategy, slice bounds, tile boundaries, reduction buffers — are
   // frozen here; the iteration loop below is pure execution.
@@ -304,8 +298,8 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
 
 CpalsResult cp_als(SparseTensor& tensor, const CpalsOptions& options) {
   SPTD_CHECK(tensor.nnz() > 0, "cp_als: empty tensor");
-  // Backend first: CSF sorting below already runs parallel regions.
-  set_parallel_backend(options.backend);
+  // Before the CSF build: sorting already runs parallel regions.
+  validate_exec(options, "cp_als");
   init_parallel_runtime();
   const val_t norm_sq = tensor.norm_sq();
 

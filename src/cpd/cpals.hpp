@@ -17,48 +17,28 @@
 
 namespace sptd {
 
-/// All knobs of a CP-ALS run. Defaults match SPLATT's defaults and the
-/// reference implementation's code paths.
-struct CpalsOptions {
+/// All knobs of a CP-ALS run: the shared execution knobs
+/// (common/exec_config.hpp) plus the solver's own. Defaults match
+/// SPLATT's defaults and the reference implementation's code paths.
+/// Under f32/mixed precision the factor masters stay fp64 for mixed (fits
+/// match f64 within 1e-6 on the smoke fixtures); f32 also accumulates in
+/// fp32 and rounds each updated factor through fp32 (fits within 1e-3).
+/// Solves, norms, Grams, and the fit always run fp64.
+struct CpalsOptions : ExecConfig {
   idx_t rank = 10;
   int max_iterations = 50;
   /// Stop when the fit improves by less than this between iterations.
   /// Set to 0 to always run max_iterations (the paper runs a fixed 20).
   double tolerance = 1e-5;
   std::uint64_t seed = 23;  ///< factor initialization seed
-  int nthreads = 1;
 
   CsfPolicy csf_policy = CsfPolicy::kTwoMode;
-  /// CSF index-stream widths (compressed = narrowest per level; wide =
-  /// the fixed u32/u64 ablation baseline).
-  CsfLayout csf_layout = CsfLayout::kCompressed;
   SortVariant sort_variant = SortVariant::kAllOpts;
   RowAccess row_access = RowAccess::kPointer;
   LockKind lock_kind = LockKind::kOmp;
-  /// Slice scheduling policy for the MTTKRP execution plan
-  /// (static | weighted | dynamic | workstealing).
-  SchedulePolicy schedule = SchedulePolicy::kWeighted;
-  /// Dynamic/workstealing claims-per-thread target
-  /// (MttkrpOptions::chunk_target).
-  int chunk_target = 16;
   double privatization_threshold = 0.02;
   bool force_locks = false;
   bool allow_privatization = true;
-  /// Rank-specialized SIMD kernels (MttkrpOptions::use_fixed_kernels);
-  /// disable to benchmark the generic runtime-rank loops.
-  bool use_fixed_kernels = true;
-  /// Value-stream precision (common/precision.hpp). f64 is the exact
-  /// pre-precision pipeline; mixed streams fp32 factor shadows + fp32 CSF
-  /// values through the MTTKRP with fp64 accumulation (factor masters
-  /// stay fp64 — fits match f64 within 1e-6 on the smoke fixtures); f32
-  /// additionally accumulates in fp32 and rounds each updated factor
-  /// through fp32 (fits within 1e-3). Solves, norms, Grams, and the fit
-  /// always run fp64.
-  Precision precision = Precision::kF64;
-  /// Parallel backend (parallel/backend.hpp): omp (default) or pool.
-  /// cp_als applies this process-wide via set_parallel_backend() before
-  /// building CSF/plan state; defaults from SPTD_BACKEND.
-  ParallelBackendKind backend = default_parallel_backend();
 
   /// Compute the fit every iteration even when tolerance == 0 (the fit is
   /// one of the paper's timed routines, so the default keeps it on).

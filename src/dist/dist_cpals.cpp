@@ -152,16 +152,9 @@ DistResult run_dist_loop(const LoopConfig& cfg, DistTransport& tr) {
   const std::size_t nlocales = part.nlocales;
 
   // Each locale is serial (locale-level parallelism is the process/locale
-  // grid itself, not intra-locale threading), with its own CSF set and
-  // execution plan.
-  MttkrpOptions mopts;
-  mopts.nthreads = 1;
-  mopts.schedule = options.schedule;
-  mopts.chunk_target = options.chunk_target;
-  mopts.use_fixed_kernels = options.use_fixed_kernels;
-  mopts.csf_layout = options.csf_layout;
-  mopts.precision = options.precision;
-  mopts.backend = options.backend;
+  // grid itself, not intra-locale threading; dist_cp_als holds nthreads
+  // at 1), with its own CSF set and execution plan.
+  const MttkrpOptions mopts{options};
   std::vector<std::unique_ptr<CsfSet>> sets(nlocales);
   std::vector<std::unique_ptr<MttkrpPlan>> plans(nlocales);
   auto build_plan = [&](std::size_t l) {
@@ -430,7 +423,7 @@ DistResult dist_cp_als(const SparseTensor& x, const DistOptions& options) {
                "dist_cp_als: this build has no MPI transport (configure "
                "with MPI available)");
   }
-  set_parallel_backend(options.backend);
+  validate_exec(options, "dist_cp_als", kExecThreads);
   if (options.transport != TransportKind::kShm) {
     // The shm launcher forks; a live thread pool does not survive fork,
     // and every locale is single-threaded anyway, so the runtime is only

@@ -28,20 +28,24 @@
 
 #include <vector>
 
-#include "common/precision.hpp"
+#include "common/exec_config.hpp"
 #include "common/types.hpp"
 #include "cpd/kruskal.hpp"
 #include "csf/csf.hpp"
 #include "dist/transport.hpp"
-#include "parallel/backend.hpp"
-#include "parallel/schedule.hpp"
 #include "resilience/resilience.hpp"
 #include "tensor/coo.hpp"
 
 namespace sptd {
 
-/// Knobs of a simulated distributed run.
-struct DistOptions {
+/// Knobs of a distributed run: the shared execution knobs
+/// (common/exec_config.hpp), applied inside each locale's MTTKRP plan,
+/// plus the grid and transport. Locales are serial — locale-level
+/// parallelism is the grid itself — so dist_cp_als rejects nthreads != 1;
+/// under the shm transport each forked locale never initializes the
+/// runtime (fork and thread pools don't mix). The reductions, solves,
+/// and fit always run fp64 whatever the precision.
+struct DistOptions : ExecConfig {
   /// Locale grid, one extent per tensor mode (e.g. {2, 2, 2} = 8 locales).
   dims_t grid;
   idx_t rank = 10;
@@ -50,29 +54,6 @@ struct DistOptions {
   /// Balance block boundaries by slice nonzero counts instead of equal
   /// index ranges (the same weighted-vs-uniform choice as tiling).
   bool weighted_blocks = true;
-  /// Slice scheduling inside each locale's MTTKRP plan
-  /// (static | weighted | dynamic | workstealing).
-  SchedulePolicy schedule = SchedulePolicy::kWeighted;
-  /// Dynamic/workstealing claims-per-thread target inside each locale's
-  /// plan (MttkrpOptions::chunk_target).
-  int chunk_target = 16;
-  /// Rank-specialized SIMD inner loops inside each locale's plan
-  /// (MttkrpOptions::use_fixed_kernels).
-  bool use_fixed_kernels = true;
-  /// CSF index-stream widths of each locale's representations
-  /// (compressed = narrowest per level; wide = u32/u64 baseline).
-  CsfLayout csf_layout = CsfLayout::kCompressed;
-  /// Value-stream precision inside each locale's MTTKRP plan
-  /// (MttkrpOptions::precision); the reductions, solves, and fit always
-  /// run fp64 — only the local kernels change what they stream.
-  Precision precision = Precision::kF64;
-  /// Parallel backend (parallel/backend.hpp): omp (default) or pool.
-  /// Applied process-wide by the dist driver via set_parallel_backend()
-  /// before locale plans are built; defaults from SPTD_BACKEND. Under the
-  /// shm transport each forked locale is strictly single-threaded (the
-  /// runtime is never initialized in children — fork and thread pools
-  /// don't mix).
-  ParallelBackendKind backend = default_parallel_backend();
 
   /// Communication backend: sim (in-process simulation, the default),
   /// shm (fork-per-locale over a shared-memory ring), or mpi (one MPI

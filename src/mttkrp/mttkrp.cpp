@@ -81,12 +81,11 @@ SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
 MttkrpWorkspace::MttkrpWorkspace(const MttkrpOptions& opts, idx_t rank,
                                  int order)
     : opts_(opts), rank_(rank), order_(order), pool_(opts.lock_kind) {
-  SPTD_CHECK(opts.nthreads >= 1, "MttkrpWorkspace: nthreads must be >= 1");
-  SPTD_CHECK(rank >= 1, "MttkrpWorkspace: rank must be >= 1");
   // Checked here, before the unsigned cast at the SliceSchedule call
-  // sites, so a negative value cannot wrap into a huge chunk target.
-  SPTD_CHECK(opts.chunk_target >= 1,
-             "MttkrpWorkspace: chunk_target must be >= 1");
+  // sites, so a negative chunk target cannot wrap into a huge one; the
+  // backend check guarantees the lock pool's flavor is the process's.
+  validate_exec(opts, "MttkrpWorkspace");
+  SPTD_CHECK(rank >= 1, "MttkrpWorkspace: rank must be >= 1");
   // Slots per thread: path products (order), children sums (order), plus
   // two scratch rows; each slot padded to a cache line boundary. The
   // storage itself is cache-line aligned, so every slot satisfies the
@@ -1445,7 +1444,6 @@ void mttkrp_coo(const SparseTensor& coo,
              "mttkrp_coo: bad output shape");
 
   const int nthreads = opts.nthreads;
-  set_parallel_backend(opts.backend);  // before the pool captures a flavor
   out.zero_parallel(nthreads);
   AnyMutexPool pool(opts.lock_kind);
   const auto out_ind = coo.ind(mode);

@@ -23,13 +23,12 @@
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "common/precision.hpp"
+#include "common/exec_config.hpp"
 #include "common/types.hpp"
 #include "csf/csf.hpp"
 #include "la/kernels.hpp"
 #include "la/matrix.hpp"
 #include "mttkrp/row_access.hpp"
-#include "parallel/backend.hpp"
 #include "parallel/locks.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/schedule.hpp"
@@ -47,15 +46,16 @@ enum class SyncStrategy : int {
 /// Name for logs/benches: "none" / "lock" / "privatize" / "tile".
 const char* sync_strategy_name(SyncStrategy s);
 
-/// MTTKRP tuning knobs (the paper's studied axes).
-struct MttkrpOptions {
-  int nthreads = 1;
+/// MTTKRP tuning knobs (the paper's studied axes): the shared execution
+/// knobs (common/exec_config.hpp) plus the sync and row-access choices.
+/// Under f32/mixed the pointer row-access kernels stream fp32 factor-row
+/// shadows and values (the slice/2d ablation policies always run f64);
+/// the output matrix is fp64 under every precision. csf_layout matters
+/// to whoever builds the CsfSet and is recorded in bench JSON; the
+/// kernels read the widths off each CsfTensor.
+struct MttkrpOptions : ExecConfig {
   RowAccess row_access = RowAccess::kPointer;
   LockKind lock_kind = LockKind::kOmp;
-  /// How kernel slice loops are distributed over the team (the tasking
-  /// axis the paper studies); weighted is SPLATT's nnz-balanced blocking,
-  /// workstealing adds per-thread deques on top of the weighted seed.
-  SchedulePolicy schedule = SchedulePolicy::kWeighted;
   /// SPLATT's privatization threshold: privatize mode m iff
   /// dims[m] * nthreads <= privatization_threshold * nnz.
   double privatization_threshold = 0.02;
@@ -72,40 +72,6 @@ struct MttkrpOptions {
   /// upper-level work. Takes precedence over locks/privatization where
   /// applicable (leaf level, >1 thread).
   bool use_tiling = false;
-  /// Dynamic/workstealing chunk heuristic: target number of claims per
-  /// thread. Dynamic sizes chunks total / (nthreads * chunk_target);
-  /// workstealing subdivides each thread's seeded block into up to
-  /// chunk_target chunks (the steal granularity). Larger targets mean
-  /// finer chunks (better skew smoothing, more claim traffic). Exposed as
-  /// --chunk on the CLI and benches.
-  int chunk_target = 16;
-  /// Dispatch rank-specialized SIMD inner loops (la/kernels.hpp) when the
-  /// rank has a compile-time instantiation and the row-access policy is
-  /// pointer. Disable to force the generic runtime-rank loops — the
-  /// baseline the kernel benches compare against.
-  bool use_fixed_kernels = true;
-  /// CSF index-stream widths for the representations this run builds
-  /// (compressed = narrowest per level, the default; wide = the fixed
-  /// u32/u64 baseline). The kernels themselves read the widths off each
-  /// CsfTensor, so this knob matters to whoever constructs the CsfSet —
-  /// cp_als, tucker_hooi, the benches — and is recorded in bench JSON.
-  CsfLayout csf_layout = CsfLayout::kCompressed;
-  /// Value-stream precision (common/precision.hpp): f64 runs the exact
-  /// pre-precision code paths; f32/mixed stream fp32 factor-row shadows
-  /// and an fp32 copy of the CSF values, with fp32 (f32) or fp64 (mixed)
-  /// register accumulation. Applies to the pointer row-access kernels —
-  /// the production path; the slice/2d ablation policies always run f64
-  /// (they exist to measure access idioms, not bandwidth). The output
-  /// matrix is fp64 under every precision (deposits widen).
-  Precision precision = Precision::kF64;
-  /// Which parallel backend executes the team regions (parallel/
-  /// backend.hpp): omp (the default; behavior-identical to the
-  /// pre-backend tree) or pool (persistent worker threads that compose
-  /// across concurrent decompositions in one process). Applied
-  /// process-wide by MttkrpPlan / the drivers via set_parallel_backend()
-  /// before workspaces build their lock pools. Defaults from the
-  /// SPTD_BACKEND environment variable.
-  ParallelBackendKind backend = default_parallel_backend();
 };
 
 /// The compile-time kernel width an MTTKRP plan will select for \p rank

@@ -8,10 +8,7 @@ namespace sptd {
 
 MttkrpPlan::MttkrpPlan(const CsfSet& set, idx_t rank,
                        const MttkrpOptions& opts)
-    // The backend must be applied before ws_ builds its lock pool (the
-    // BackendLock flavor is captured at pool construction), hence the
-    // comma expression in the first initializer.
-    : set_((set_parallel_backend(opts.backend), &set)),
+    : set_(&set),
       ws_(opts, rank, set.order()),
       kernel_width_(selected_kernel_width(rank, opts)) {
   const int order = set.order();

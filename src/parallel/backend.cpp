@@ -21,8 +21,8 @@ namespace {
 // Backend selection state.
 // ---------------------------------------------------------------------------
 
-// -1 = unset (fall back to default_parallel_backend()). Atomic so that
-// concurrent drivers agreeing on the same backend can both "set" it.
+// -1 = unset (fall back to default_parallel_backend()). Atomic because
+// every region launch and every driver's validate_exec() reads it.
 std::atomic<int> g_backend_kind{-1};
 
 // ---------------------------------------------------------------------------
@@ -342,6 +342,8 @@ const char* parallel_backend_name(ParallelBackendKind kind) {
   return "omp";
 }
 
+namespace {
+
 ParallelBackendKind default_parallel_backend() {
   static const ParallelBackendKind kind = [] {
     const char* env = std::getenv("SPTD_BACKEND");
@@ -350,6 +352,8 @@ ParallelBackendKind default_parallel_backend() {
   }();
   return kind;
 }
+
+}  // namespace
 
 ParallelBackendKind parallel_backend() {
   const int raw = g_backend_kind.load(std::memory_order_acquire);

@@ -35,8 +35,10 @@
 /// region per sub-epoch precisely to keep that true), which is what
 /// makes sequential tid multiplexing safe.
 ///
-/// Selection is process-wide: `SPTD_BACKEND=omp|pool` seeds the default,
-/// `--backend` flags (CLI/bench) call set_parallel_backend(). Nested
+/// Selection is process-wide and fixed at startup: `SPTD_BACKEND=omp|pool`
+/// seeds the default, `--backend` flags (CLI/bench) and test fixtures call
+/// set_parallel_backend(); library code never does (linted). Drivers only
+/// check that their options' backend stamp matches (validate_exec). Nested
 /// parallel_region calls behave identically on both backends: the inner
 /// region runs body(0, 1) (the omp backend via
 /// omp_set_max_active_levels(1), the pool backend explicitly).
@@ -56,22 +58,17 @@ ParallelBackendKind parse_parallel_backend(const std::string& name);
 /// Flag/log name of a backend ("omp" / "pool").
 const char* parallel_backend_name(ParallelBackendKind kind);
 
-/// The process default: the SPTD_BACKEND environment variable parsed
-/// once (first call), kOmp when unset or empty. Options structs default
-/// their `backend` field from this, which is how `SPTD_BACKEND=pool
-/// ctest` runs the whole suite on the pool backend.
-ParallelBackendKind default_parallel_backend();
-
-/// The currently selected process-wide backend.
+/// The process-wide backend: the last set_parallel_backend() kind, else
+/// the SPTD_BACKEND environment variable (parsed once; kOmp when unset or
+/// empty). ExecConfig::backend defaults from this, which is how
+/// `SPTD_BACKEND=pool ctest` runs the whole suite on the pool backend.
 ParallelBackendKind parallel_backend();
 
 /// Selects the backend every subsequent parallel_region dispatches to.
-/// Process-wide and idempotent; drivers (cp_als, tucker_hooi, the
-/// completion/dist drivers, MttkrpPlan) apply their options' `backend`
-/// field through here before building workspaces, so lock pools capture
-/// the right lock flavor. Not safe to call concurrently with a different
-/// kind while regions are in flight — concurrent runs must agree on the
-/// backend (they share it by design).
+/// Called once at startup (CLI/bench --backend, perfbench) or by a test
+/// fixture, never by library code: lock pools capture the backend's lock
+/// flavor at construction, and a switch while another run's regions are
+/// in flight would change the backend under it.
 void set_parallel_backend(ParallelBackendKind kind);
 
 /// The backend interface: everything team.cpp needs to launch a region.

@@ -85,7 +85,7 @@ class SliceSchedule {
   /// degrades weighted to static and seeds work-stealing deques with equal
   /// slice counts. \p chunk_target is consulted by the dynamic and
   /// work-stealing policies: chunks are sized for ~chunk_target claims per
-  /// thread (MttkrpOptions::chunk_target / the --chunk flag).
+  /// thread (ExecConfig::chunk_target / the --chunk flag).
   SliceSchedule(SchedulePolicy policy, nnz_t total,
                 std::span<const nnz_t> weight_prefix, int nthreads,
                 nnz_t chunk_target = kDefaultChunkTarget);

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string_view>
 
 #include "common/checksum.hpp"
@@ -112,6 +113,13 @@ class Tokenizer {
     return v;
   }
 
+  /// How many doubles the unread payload could still hold: the bound
+  /// every size field is checked against before its block is allocated,
+  /// so a forged header cannot request more memory than the file holds.
+  [[nodiscard]] std::uint64_t room() const {
+    return (text_.size() - pos_) / sizeof(double);
+  }
+
   /// Reads a "bin <nbytes>" block into \p n doubles. The byte count is
   /// followed by exactly one '\n', then the raw bytes, then '\n' — raw
   /// bytes are never tokenized, so whitespace-valued bytes are safe.
@@ -135,9 +143,16 @@ class Tokenizer {
 };
 
 la::Matrix read_matrix(Tokenizer& tok) {
-  const auto rows = static_cast<idx_t>(tok.next_u64());
-  const auto cols = static_cast<idx_t>(tok.next_u64());
-  SPTD_CHECK(rows >= 1 && cols >= 1, "checkpoint: bad matrix shape");
+  const std::uint64_t r = tok.next_u64();
+  const std::uint64_t c = tok.next_u64();
+  // c <= room / r also bounds r * c without overflowing.
+  constexpr std::uint64_t kMaxDim = std::numeric_limits<idx_t>::max();
+  SPTD_CHECK(r >= 1 && c >= 1 && r <= kMaxDim && c <= kMaxDim &&
+                 c <= tok.room() / r,
+             "checkpoint: bad matrix shape " + std::to_string(r) + "x" +
+                 std::to_string(c) + " is empty or exceeds the payload");
+  const auto rows = static_cast<idx_t>(r);
+  const auto cols = static_cast<idx_t>(c);
   la::Matrix m(rows, cols);
   std::vector<double> flat(static_cast<std::size_t>(rows) * cols);
   tok.read_raw(flat.data(), flat.size());
@@ -324,6 +339,8 @@ Checkpoint Checkpoint::deserialize(const std::string& text) {
   for (std::uint64_t i = 0; i < nseries; ++i) {
     const std::string name = tok.next_token();
     const std::uint64_t len = tok.next_u64();
+    SPTD_CHECK(len <= tok.room(), "checkpoint: series '" + name +
+                                      "' longer than the payload");
     std::vector<double> values(len);
     tok.read_raw(values.data(), values.size());
     ck.series.emplace_back(name, std::move(values));

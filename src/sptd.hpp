@@ -15,6 +15,7 @@
 ///   double fit = r.fit_history.back();
 /// \endcode
 
+#include "common/exec_config.hpp"
 #include "common/log.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"

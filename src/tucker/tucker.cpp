@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <memory>
 
@@ -367,6 +368,24 @@ void matmul_rows_parallel(const la::Matrix& a, const la::Matrix& b,
 
 }  // namespace
 
+dims_t parse_core_dims(const std::string& spec) {
+  dims_t dims;
+  for (std::size_t pos = 0;;) {
+    const std::size_t x = std::min(spec.find('x', pos), spec.size());
+    const std::string tok = spec.substr(pos, x - pos);
+    idx_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    SPTD_CHECK(ec == std::errc() && end == tok.data() + tok.size() && v >= 1,
+               "tucker: bad core dimension '" + tok + "' in '" + spec +
+                   "' (expected positive integers joined by 'x', e.g. "
+                   "8x8x8)");
+    dims.push_back(v);
+    if (x == spec.size()) return dims;
+    pos = x + 1;
+  }
+}
+
 TuckerResult tucker_hooi(const SparseTensor& x,
                          const TuckerOptions& options) {
   const int order = x.order();
@@ -379,7 +398,7 @@ TuckerResult tucker_hooi(const SparseTensor& x,
   }
   SPTD_CHECK(options.max_iterations >= 1, "tucker_hooi: need iterations");
   SPTD_CHECK(x.nnz() > 0, "tucker_hooi: empty tensor");
-  set_parallel_backend(options.backend);
+  validate_exec(options, "tucker_hooi", kExecChunk | kExecKernels);
   init_parallel_runtime();
 
   const int nthreads = options.nthreads;

@@ -15,14 +15,14 @@
 /// The core is G_(last) = U(last)^T W from the final mode's TTMc, and the
 /// fit follows from ||X - X̂||² = ||X||² - ||G||² (orthonormal factors).
 
+#include <string>
 #include <vector>
 
 #include "common/timer.hpp"
 #include "common/types.hpp"
 #include "csf/csf.hpp"
 #include "la/matrix.hpp"
-#include "parallel/backend.hpp"
-#include "parallel/schedule.hpp"
+#include "common/exec_config.hpp"
 #include "resilience/resilience.hpp"
 #include "tensor/coo.hpp"
 
@@ -46,35 +46,24 @@ struct TuckerModel {
   [[nodiscard]] val_t value_at(std::span<const idx_t> coords) const;
 };
 
-/// HOOI options.
-struct TuckerOptions {
+/// HOOI options: the shared execution knobs (common/exec_config.hpp) plus
+/// the decomposition's own. One TTMc slice schedule per mode is built
+/// before the HOOI loop and reused across all iterations, at the default
+/// chunk target: the TTMc has no --chunk or --kernels knob, so
+/// tucker_hooi rejects non-default chunk_target and use_fixed_kernels.
+/// csf_layout sets the all-mode CSF set's index widths. Under f32/mixed
+/// the CSF TTMc streams fp32 factor shadows + fp32 CSF values with fp64
+/// Kronecker accumulation (f32 also rounds each updated factor through
+/// fp32 per sweep); the COO path and all dense algebra run fp64.
+struct TuckerOptions : ExecConfig {
   dims_t core_dims;        ///< one rank per mode
   int max_iterations = 50;
   double tolerance = 1e-5; ///< fit-improvement stop (0 = run all)
   std::uint64_t seed = 17;
-  int nthreads = 1;
   /// Evaluate TTMc over an all-mode CSF set (SPLATT's approach; several
   /// times faster through prefix sharing) instead of flat COO. Both
   /// paths produce identical results; tests exercise both.
   bool use_csf = true;
-  /// Slice scheduling for the CSF TTMc kernels (static | weighted |
-  /// dynamic | workstealing); one schedule per mode is built before the
-  /// HOOI loop and reused across all iterations (reset() per launch
-  /// rewinds the dynamic cursor / reseeds the work-stealing deques).
-  SchedulePolicy schedule = SchedulePolicy::kWeighted;
-  /// Index-stream widths of the all-mode CSF set the TTMc walks
-  /// (compressed = per-level narrowest, wide = u32/u64 baseline).
-  CsfLayout csf_layout = CsfLayout::kCompressed;
-  /// Value-stream precision for the CSF TTMc (common/precision.hpp):
-  /// f32/mixed stream fp32 factor shadows + fp32 CSF values with fp64
-  /// Kronecker accumulation; f32 additionally rounds each updated factor
-  /// through fp32 per HOOI sweep. The COO fallback (use_csf = false) and
-  /// all dense linear algebra (Gram, eigen, core) always run fp64.
-  Precision precision = Precision::kF64;
-  /// Parallel backend (parallel/backend.hpp): omp (default) or pool.
-  /// tucker_hooi applies this process-wide via set_parallel_backend()
-  /// before building the CSF set; defaults from SPTD_BACKEND.
-  ParallelBackendKind backend = default_parallel_backend();
 
   /// Checkpoint/restart, numeric-health guards, and fault injection
   /// (inert by default). Resume requires at least one HOOI iteration left
@@ -98,6 +87,10 @@ struct TuckerResult {
 /// per-thread accumulation into privatized buffers (out rows conflict).
 void ttmc(const SparseTensor& x, const std::vector<la::Matrix>& factors,
           int mode, la::Matrix& out, int nthreads);
+
+/// Parses a core-dimension spec such as "8x8x8" (positive integers
+/// joined by 'x'); throws sptd::Error naming the first bad token.
+dims_t parse_core_dims(const std::string& spec);
 
 /// Runs HOOI. core_dims.size() must equal x.order(); each core dim must
 /// be >= 1 and <= the mode length.

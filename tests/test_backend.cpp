@@ -24,14 +24,17 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "completion/completion.hpp"
 #include "cpd/cpals.hpp"
 #include "csf/csf.hpp"
+#include "dist/dist_cpals.hpp"
 #include "mttkrp/mttkrp.hpp"
 #include "mttkrp/plan.hpp"
 #include "parallel/backend.hpp"
 #include "parallel/locks.hpp"
 #include "parallel/team.hpp"
 #include "tensor/synthetic.hpp"
+#include "tucker/tucker.hpp"
 
 namespace sptd {
 namespace {
@@ -48,6 +51,13 @@ class BackendGuard {
  private:
   ParallelBackendKind prior_;
 };
+
+/// Fixes the process backend and stamps \p opts with it, the way a
+/// harness does at startup; the enclosing BackendGuard restores it.
+void use_backend(ExecConfig& opts, ParallelBackendKind kind) {
+  set_parallel_backend(kind);
+  opts.backend = kind;
+}
 
 SparseTensor make_tensor(dims_t dims, nnz_t nnz, std::uint64_t seed) {
   return generate_synthetic(
@@ -216,6 +226,42 @@ TEST(BackendLockPool, FutexLockIsMutualExclusive) {
   EXPECT_EQ(counter, 4L * 5000L);
 }
 
+// A driver never switches the process backend: options stamped with the
+// other backend are an error, and the process keeps the one it had.
+TEST(BackendSelection, DriversRejectAMismatchedBackendWithoutSwitching) {
+  BackendGuard guard;
+  const SparseTensor base = make_tensor({20, 30, 40}, 600, 5);
+  for (const ParallelBackendKind kind :
+       {ParallelBackendKind::kOmp, ParallelBackendKind::kPool}) {
+    set_parallel_backend(kind);
+    const ParallelBackendKind other = kind == ParallelBackendKind::kOmp
+                                          ? ParallelBackendKind::kPool
+                                          : ParallelBackendKind::kOmp;
+    CpalsOptions cp;
+    cp.rank = 4;
+    cp.backend = other;
+    SparseTensor work = base;
+    EXPECT_THROW(cp_als(work, cp), Error);
+    TuckerOptions tk;
+    tk.core_dims = {2, 2, 2};
+    tk.backend = other;
+    EXPECT_THROW(tucker_hooi(base, tk), Error);
+    CompletionOptions co;
+    co.rank = 4;
+    co.backend = other;
+    EXPECT_THROW(complete_tensor(base, nullptr, co), Error);
+    DistOptions di;
+    di.grid = {2, 1, 1};
+    di.rank = 4;
+    di.backend = other;
+    EXPECT_THROW(dist_cp_als(base, di), Error);
+    MttkrpOptions mo;
+    mo.backend = other;
+    EXPECT_THROW(MttkrpWorkspace(mo, 4, 3), Error);
+    EXPECT_EQ(parallel_backend(), kind) << parallel_backend_name(kind);
+  }
+}
+
 // ------------------------------------------------- MTTKRP equivalence
 
 la::Matrix run_mttkrp(const CsfSet& set, const std::vector<la::Matrix>& f,
@@ -268,10 +314,10 @@ TEST_F(BackendMttkrpTest, SingleThreadBitwiseAcrossBackends) {
       for (const SyncConfig& sync : kSyncConfigs) {
         MttkrpOptions opts = base_options(1, policy, sync);
         for (int mode = 0; mode < base.order(); ++mode) {
-          opts.backend = ParallelBackendKind::kOmp;
+          use_backend(opts, ParallelBackendKind::kOmp);
           const la::Matrix omp_out =
               run_mttkrp(set, factors, rank, mode, opts);
-          opts.backend = ParallelBackendKind::kPool;
+          use_backend(opts, ParallelBackendKind::kPool);
           const la::Matrix pool_out =
               run_mttkrp(set, factors, rank, mode, opts);
           EXPECT_EQ(omp_out.max_abs_diff(pool_out), 0.0)
@@ -296,10 +342,10 @@ TEST_F(BackendMttkrpTest, StaticSchedulesPrivatizedBitwiseAtFourThreads) {
          {SchedulePolicy::kStatic, SchedulePolicy::kWeighted}) {
       MttkrpOptions opts = base_options(4, policy, kSyncConfigs[1]);
       for (int mode = 0; mode < base.order(); ++mode) {
-        opts.backend = ParallelBackendKind::kOmp;
+        use_backend(opts, ParallelBackendKind::kOmp);
         const la::Matrix omp_out =
             run_mttkrp(set, factors, rank, mode, opts);
-        opts.backend = ParallelBackendKind::kPool;
+        use_backend(opts, ParallelBackendKind::kPool);
         const la::Matrix pool_out =
             run_mttkrp(set, factors, rank, mode, opts);
         EXPECT_EQ(omp_out.max_abs_diff(pool_out), 0.0)
@@ -323,10 +369,10 @@ TEST_F(BackendMttkrpTest, AllPoliciesAndSyncsMatchAtFourThreads) {
       for (const SyncConfig& sync : kSyncConfigs) {
         MttkrpOptions opts = base_options(4, policy, sync);
         for (int mode = 0; mode < base.order(); ++mode) {
-          opts.backend = ParallelBackendKind::kOmp;
+          use_backend(opts, ParallelBackendKind::kOmp);
           const la::Matrix omp_out =
               run_mttkrp(set, factors, rank, mode, opts);
-          opts.backend = ParallelBackendKind::kPool;
+          use_backend(opts, ParallelBackendKind::kPool);
           const la::Matrix pool_out =
               run_mttkrp(set, factors, rank, mode, opts);
           EXPECT_LT(omp_out.max_abs_diff(pool_out), 1e-12)
@@ -355,11 +401,11 @@ TEST(BackendCpals, PrivatizedRunBitwiseAcrossBackends) {
   opts.privatization_threshold = 1e9;  // force privatize at every mode
 
   SparseTensor t_omp = base;
-  opts.backend = ParallelBackendKind::kOmp;
+  use_backend(opts, ParallelBackendKind::kOmp);
   const CpalsResult r_omp = cp_als(t_omp, opts);
 
   SparseTensor t_pool = base;
-  opts.backend = ParallelBackendKind::kPool;
+  use_backend(opts, ParallelBackendKind::kPool);
   const CpalsResult r_pool = cp_als(t_pool, opts);
 
   ASSERT_EQ(r_omp.fit_history.size(), r_pool.fit_history.size());
@@ -391,11 +437,11 @@ TEST(BackendCpals, LockedRunMatchesAcrossBackends) {
   opts.force_locks = true;
 
   SparseTensor t_omp = base;
-  opts.backend = ParallelBackendKind::kOmp;
+  use_backend(opts, ParallelBackendKind::kOmp);
   const CpalsResult r_omp = cp_als(t_omp, opts);
 
   SparseTensor t_pool = base;
-  opts.backend = ParallelBackendKind::kPool;
+  use_backend(opts, ParallelBackendKind::kPool);
   const CpalsResult r_pool = cp_als(t_pool, opts);
 
   ASSERT_EQ(r_omp.fit_history.size(), r_pool.fit_history.size());

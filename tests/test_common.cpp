@@ -1,4 +1,5 @@
-// Tests for src/common: timers, RNG, options parser, logging, alignment.
+// Tests for src/common: timers, RNG, options parser, the shared exec
+// flags and their validator, logging, alignment.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +10,15 @@
 
 #include "common/aligned.hpp"
 #include "common/error.hpp"
+#include "common/exec_config.hpp"
 #include "common/log.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "completion/completion.hpp"
+#include "dist/dist_cpals.hpp"
+#include "tensor/synthetic.hpp"
+#include "tucker/tucker.hpp"
 
 namespace sptd {
 namespace {
@@ -306,6 +312,112 @@ TEST(Options, HelpMentionsOptionsAndDefaults) {
 }
 
 // ------------------------------------------------------------------ misc
+
+// ------------------------------------------------------- exec flags
+
+/// Parses \p args (after the program name) through the shared exec flags.
+ExecConfig parse_exec(std::vector<const char*> args) {
+  Options o("t", "test");
+  add_exec_flags(o);
+  args.insert(args.begin(), "t");
+  EXPECT_TRUE(o.parse(static_cast<int>(args.size()), args.data()));
+  return exec_from_flags(o);
+}
+
+TEST(ExecFlags, RoundTripEveryKnob) {
+  const ExecConfig d = parse_exec({});
+  EXPECT_EQ(d.nthreads, hardware_threads());  // --threads 0 = all
+  EXPECT_EQ(d.schedule, ExecConfig{}.schedule);
+  EXPECT_EQ(d.chunk_target, ExecConfig{}.chunk_target);
+  EXPECT_TRUE(d.use_fixed_kernels);
+  EXPECT_EQ(d.csf_layout, CsfLayout::kCompressed);
+  EXPECT_EQ(d.precision, Precision::kF64);
+  EXPECT_EQ(d.backend, parallel_backend());
+
+  const ExecConfig e = parse_exec(
+      {"--threads", "3", "--schedule", "workstealing", "--chunk", "5",
+       "--kernels", "generic", "--csf-layout", "wide", "--precision",
+       "mixed", "--backend", "pool"});
+  EXPECT_EQ(e.nthreads, 3);
+  EXPECT_EQ(e.schedule, SchedulePolicy::kWorkStealing);
+  EXPECT_EQ(e.chunk_target, 5);
+  EXPECT_FALSE(e.use_fixed_kernels);
+  EXPECT_EQ(e.csf_layout, CsfLayout::kWide);
+  EXPECT_EQ(e.precision, Precision::kMixed);
+  EXPECT_EQ(e.backend, ParallelBackendKind::kPool);
+
+  // Benches sweep --threads-list: no --threads flag, nthreads stays 1.
+  Options bench("b", "bench");
+  add_exec_flags(bench, /*with_threads=*/false);
+  const char* argv[] = {"b"};
+  ASSERT_TRUE(bench.parse(1, argv));
+  EXPECT_FALSE(bench.has("threads"));
+  EXPECT_EQ(exec_from_flags(bench).nthreads, 1);
+}
+
+TEST(ExecFlags, RejectsValuesNoKnobAccepts) {
+  const auto rejected = [](std::vector<const char*> args) {
+    EXPECT_THROW(validate_exec(parse_exec(args), "t"), Error) << args[0];
+  };
+  rejected({"--kernels", "fixd"});
+  rejected({"--chunk", "0"});
+  rejected({"--chunk", "-1"});
+  rejected({"--precision", "f16"});
+  rejected({"--backend", "tbb"});
+  EXPECT_NO_THROW(validate_exec(parse_exec({"--chunk", "1"}), "t"));
+}
+
+TEST(ExecFlags, UnusedFieldsMustKeepTheirDefaults) {
+  ExecConfig cfg;
+  cfg.chunk_target = 4;
+  EXPECT_NO_THROW(validate_exec(cfg, "t"));
+  EXPECT_NO_THROW(validate_exec(cfg, "t", kExecKernels | kExecLayout));
+  EXPECT_THROW(validate_exec(cfg, "t", kExecChunk), Error);
+  cfg = ExecConfig{};
+  cfg.nthreads = 2;
+  EXPECT_THROW(validate_exec(cfg, "t", kExecThreads), Error);
+  cfg = ExecConfig{};
+  cfg.use_fixed_kernels = false;
+  EXPECT_THROW(validate_exec(cfg, "t", kExecKernels), Error);
+  cfg = ExecConfig{};
+  cfg.csf_layout = CsfLayout::kWide;
+  EXPECT_THROW(validate_exec(cfg, "t", kExecLayout), Error);
+  cfg = ExecConfig{};
+  cfg.nthreads = 0;
+  EXPECT_THROW(validate_exec(cfg, "t"), Error);
+}
+
+// Each driver names the inherited knobs it has no use for, so a setting
+// it would silently ignore is an error instead.
+TEST(ExecFlags, DriversRejectKnobsTheyDoNotUse) {
+  const SparseTensor x = generate_synthetic(
+      {.dims = {12, 14, 16}, .nnz = 400, .seed = 3, .zipf_exponent = 0.5});
+  TuckerOptions tk;
+  tk.core_dims = {2, 2, 2};
+  tk.max_iterations = 1;
+  tk.chunk_target = 4;
+  EXPECT_THROW(tucker_hooi(x, tk), Error);
+  tk.chunk_target = ExecConfig{}.chunk_target;
+  tk.use_fixed_kernels = false;
+  EXPECT_THROW(tucker_hooi(x, tk), Error);
+  tk.use_fixed_kernels = true;
+  EXPECT_NO_THROW(tucker_hooi(x, tk));
+
+  CompletionOptions co;
+  co.rank = 2;
+  co.max_iterations = 1;
+  co.csf_layout = CsfLayout::kWide;
+  EXPECT_THROW(complete_tensor(x, nullptr, co), Error);
+
+  DistOptions di;
+  di.grid = {2, 1, 1};
+  di.rank = 2;
+  di.max_iterations = 1;
+  di.nthreads = 2;
+  EXPECT_THROW(dist_cp_als(x, di), Error);
+  di.nthreads = 1;
+  EXPECT_NO_THROW(dist_cp_als(x, di));
+}
 
 TEST(Error, CheckMacroThrowsWithContext) {
   try {

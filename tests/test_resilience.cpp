@@ -574,6 +574,49 @@ TEST(Resume, CpalsKillAndResumeIsBitwise) {
   }
 }
 
+// A newest snapshot whose checksum is valid but whose size fields claim
+// far more data than the file holds (a 4e9 x 4e9 factor, a 4e12-long
+// series) is rejected before anything is allocated, so --resume falls
+// back to the older keep-2 snapshot instead of dying in the allocator.
+TEST(Resume, ForgedSizeFieldsFallBackToOlderSnapshot) {
+  for (const auto& [from, to] : {std::pair<std::string, std::string>{
+                                     "factors 3\n18 5\n",
+                                     "factors 3\n4000000000 4000000000\n"},
+                                 {"fit_history 4\n",
+                                  "fit_history 4000000000000\n"}}) {
+    ScratchDir dir("forged");
+    SparseTensor x1 = test_tensor();
+    CpalsOptions part = cpals_base();
+    part.max_iterations = 5;
+    part.resilience.checkpoint_dir = dir.path();
+    part.resilience.checkpoint_every = 2;  // snapshots at 2 and 4
+    (void)cp_als(x1, part);
+
+    // Re-sign the edited payload so only the size check can catch it.
+    const std::string newest = dir.path() + "/cpals-00000004.ckpt";
+    const std::string text = *read_file_to_string(newest);
+    const std::size_t body_at = text.find('\n', text.find('\n') + 1) + 1;
+    std::string body = text.substr(body_at);
+    const std::size_t at = body.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    body.replace(at, from.size(), to);
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(body)));
+    const std::string forged =
+        "sptd-checkpoint 2 cpals\nchecksum " + std::string(hex) + "\n" +
+        body;
+    EXPECT_THROW((void)Checkpoint::deserialize(forged), Error) << to;
+    atomic_write_file(newest, forged);
+
+    SparseTensor x2 = test_tensor();
+    CpalsOptions rest = cpals_base();
+    rest.resilience.checkpoint_dir = dir.path();
+    rest.resilience.resume = true;
+    EXPECT_EQ(cp_als(x2, rest).resilience.resumed_from, 2) << to;
+  }
+}
+
 TEST(Resume, EmptyDirIsFreshStartNotError) {
   ScratchDir dir("fresh");
   SparseTensor x = test_tensor();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -17,6 +18,28 @@ namespace sptd {
 namespace {
 
 // ----------------------------------------------------------------- eigen
+
+TEST(TuckerCoreDims, ParsesAndNamesTheBadToken) {
+  EXPECT_EQ(parse_core_dims("8x4x2"), (dims_t{8, 4, 2}));
+  EXPECT_EQ(parse_core_dims("16"), (dims_t{16}));
+  for (const char* bad : {"8xax8", "8x-1x8", "8x0x8", "8x8x", "x8", "",
+                          "8x99999999999x8", "8x 8x8", "8x8.5x8"}) {
+    try {
+      (void)parse_core_dims(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad core dimension"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    (void)parse_core_dims("8xax8");
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'a'"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Eigen, DiagonalMatrix) {
   la::Matrix a(3, 3);

@@ -121,6 +121,28 @@ grep -q "resumed from iteration" <<< "$IOFAIL_RESUME_OUT" \
   || { echo "ci: resume after torn checkpoint failed" >&2; exit 1; }
 echo "ci: fault-injection matrix recovered on every class"
 
+echo "== CLI error paths: exit 1 with a structured error =="
+# Bad values of the shared exec flags, flags the dist driver has no field
+# for, and unparseable core dims must each fail with an sptd::Error
+# (exit 1) — never run silently, and never reach main's internal-error
+# fallback for exceptions that escaped the structured checks.
+while read -r cmd args; do
+  CODE=0
+  # shellcheck disable=SC2086  # $args is a word list on purpose
+  ERR="$("$BUILD_DIR/sptd" "$cmd" "$RES_DIR/smoke.tns" $args 2>&1 \
+    < /dev/null > /dev/null)" || CODE=$?
+  if [ "$CODE" != 1 ] || grep -q "internal error" <<< "$ERR"; then
+    echo "ci: 'sptd $cmd $args' exited $CODE: $ERR" >&2
+    exit 1
+  fi
+done << 'ERROR_PATHS'
+cpd --dist-grid 2,1,1 --kernels fixd
+cpd --dist-grid 2,1,1 --threads 4
+tucker --core 8xax8
+cpd --backend tbb
+ERROR_PATHS
+echo "ci: every CLI error path failed cleanly"
+
 echo "== dist smoke: shm transport matches sim bitwise =="
 # The fork-per-locale shared-memory transport must reproduce the
 # in-process simulation exactly (both sum partials in locale order, one

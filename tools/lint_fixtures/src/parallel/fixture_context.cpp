@@ -34,4 +34,8 @@ inline void backend_worker_ok() {
   worker.join();
 }
 
+// Selecting the backend is fine HERE too: src/parallel owns the process
+// backend, so the backend-mutation rule must not fire.
+inline void select_backend_ok() { set_parallel_backend(kPool); }
+
 }  // namespace fixture

@@ -46,6 +46,14 @@ SparseTensor load(const std::string& path, bool skip_bad_lines = false) {
   return t;
 }
 
+/// Parses the execution flags and fixes the process backend from
+/// --backend, once, before the command does any parallel work.
+ExecConfig start_exec(const Options& cli) {
+  const ExecConfig exec = exec_from_flags(cli);
+  set_parallel_backend(exec.backend);
+  return exec;
+}
+
 void store(const SparseTensor& t, const std::string& path) {
   if (ends_with(path, ".bin")) {
     write_bin_file(t, path);
@@ -230,24 +238,9 @@ int cmd_cpd(int argc, const char* const* argv) {
   cli.add("rank", "35", "decomposition rank");
   cli.add("iters", "20", "max iterations");
   cli.add("tolerance", "1e-5", "stopping tolerance");
-  cli.add("threads", "0", "threads (0 = all)");
   cli.add("impl", "c", "c|chapel-initial|chapel-optimize");
   cli.add("csf", "two", "CSF policy one|two|all");
-  cli.add("csf-layout", "compressed",
-          "CSF index widths: compressed (narrowest per level) | wide");
-  cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|dynamic|workstealing");
-  cli.add("chunk", "16",
-          "dynamic/workstealing chunk target (claims per thread)");
-  cli.add("kernels", "fixed",
-          "inner-loop variant: fixed (rank-specialized SIMD) | generic");
-  cli.add("precision", "f64",
-          "value-stream precision: f64 | f32 | mixed (fp32 streams, "
-          "fp64 accumulation)");
   cli.add("seed", "23", "init seed");
-  cli.add("backend", parallel_backend_name(default_parallel_backend()),
-          "parallel backend: omp | pool (persistent std::thread "
-          "workers; composes across concurrent runs)");
   cli.add("output", "", "write the Kruskal model to this path");
   cli.add("dist-grid", "",
           "locale grid extents per mode (e.g. 2,2,1): run the "
@@ -258,13 +251,24 @@ int cmd_cpd(int argc, const char* const* argv) {
           "simulation) | shm (fork-per-locale, real processes) | mpi "
           "(requires an MPI build)");
   cli.add_flag("nonneg", "non-negative CP");
+  add_exec_flags(cli);
   add_resilience_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
+  const ExecConfig exec = start_exec(cli);
   SPTD_CHECK(!cli.positional().empty(), "cpd: need a tensor file");
   SparseTensor t = load(cli.positional().front());
 
   if (!cli.get_string("dist-grid").empty()) {
-    DistOptions dopts;
+    // The distributed driver has no use for these, so an explicit value
+    // would be silently ignored. Its locales are serial: nthreads is 1.
+    for (const char* flag : {"threads", "tolerance", "csf", "nonneg",
+                             "impl"}) {
+      SPTD_CHECK(!cli.given(flag), std::string("cpd: --") + flag +
+                                       " does not apply to --dist-grid "
+                                       "runs");
+    }
+    DistOptions dopts{exec};
+    dopts.nthreads = 1;
     for (const int g : cli.get_int_list("dist-grid")) {
       SPTD_CHECK(g >= 1, "cpd: --dist-grid extents must be >= 1");
       dopts.grid.push_back(static_cast<idx_t>(g));
@@ -272,12 +276,6 @@ int cmd_cpd(int argc, const char* const* argv) {
     dopts.rank = static_cast<idx_t>(cli.get_int("rank"));
     dopts.max_iterations = static_cast<int>(cli.get_int("iters"));
     dopts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    dopts.schedule = parse_schedule_policy(cli.get_string("schedule"));
-    dopts.chunk_target = static_cast<int>(cli.get_int("chunk"));
-    dopts.use_fixed_kernels = cli.get_string("kernels") == "fixed";
-    dopts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
-    dopts.precision = parse_precision(cli.get_string("precision"));
-    dopts.backend = parse_parallel_backend(cli.get_string("backend"));
     dopts.transport = parse_transport(cli.get_string("transport"));
     dopts.resilience = resilience_from_flags(cli);
     const DistResult r = dist_cp_als(t, dopts);
@@ -308,28 +306,13 @@ int cmd_cpd(int argc, const char* const* argv) {
     return 0;
   }
 
-  CpalsOptions opts;
+  CpalsOptions opts{exec};
   opts.rank = static_cast<idx_t>(cli.get_int("rank"));
   opts.max_iterations = static_cast<int>(cli.get_int("iters"));
   opts.tolerance = cli.get_double("tolerance");
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  opts.nthreads = static_cast<int>(cli.get_int("threads"));
-  if (opts.nthreads <= 0) opts.nthreads = hardware_threads();
   opts.csf_policy = parse_csf_policy(cli.get_string("csf"));
-  opts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
-  opts.schedule = parse_schedule_policy(cli.get_string("schedule"));
-  opts.chunk_target = static_cast<int>(cli.get_int("chunk"));
-  SPTD_CHECK(opts.chunk_target >= 1,
-             "cpd: --chunk must be >= 1 (claims per thread)");
-  {
-    const std::string k = cli.get_string("kernels");
-    SPTD_CHECK(k == "fixed" || k == "generic",
-               "cpd: --kernels must be fixed|generic");
-    opts.use_fixed_kernels = (k == "fixed");
-  }
   opts.nonnegative = cli.get_bool("nonneg");
-  opts.precision = parse_precision(cli.get_string("precision"));
-  opts.backend = parse_parallel_backend(cli.get_string("backend"));
   opts.resilience = resilience_from_flags(cli);
   apply_impl_variant(find_impl_variant(cli.get_string("impl")), opts);
 
@@ -367,44 +350,18 @@ int cmd_tucker(int argc, const char* const* argv) {
   cli.add("core", "8x8x8", "core dimensions, e.g. 8x8x8");
   cli.add("iters", "50", "max iterations");
   cli.add("tolerance", "1e-5", "stopping tolerance");
-  cli.add("threads", "0", "threads (0 = all)");
-  cli.add("csf-layout", "compressed",
-          "CSF index widths: compressed (narrowest per level) | wide");
-  cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|dynamic|workstealing");
-  cli.add("precision", "f64",
-          "value-stream precision: f64 | f32 | mixed (fp32 streams, "
-          "fp64 accumulation)");
   cli.add("seed", "17", "init seed");
-  cli.add("backend", parallel_backend_name(default_parallel_backend()),
-          "parallel backend: omp | pool (persistent std::thread "
-          "workers; composes across concurrent runs)");
+  add_exec_flags(cli);
   add_resilience_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
+  TuckerOptions opts{start_exec(cli)};
+  opts.core_dims = parse_core_dims(cli.get_string("core"));
   SPTD_CHECK(!cli.positional().empty(), "tucker: need a tensor file");
   const SparseTensor t = load(cli.positional().front());
 
-  TuckerOptions opts;
-  {
-    const std::string s = cli.get_string("core");
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      std::size_t x = s.find('x', pos);
-      if (x == std::string::npos) x = s.size();
-      opts.core_dims.push_back(
-          static_cast<idx_t>(std::stoul(s.substr(pos, x - pos))));
-      pos = x + 1;
-    }
-  }
   opts.max_iterations = static_cast<int>(cli.get_int("iters"));
   opts.tolerance = cli.get_double("tolerance");
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  opts.nthreads = static_cast<int>(cli.get_int("threads"));
-  if (opts.nthreads <= 0) opts.nthreads = hardware_threads();
-  opts.csf_layout = parse_csf_layout(cli.get_string("csf-layout"));
-  opts.schedule = parse_schedule_policy(cli.get_string("schedule"));
-  opts.precision = parse_precision(cli.get_string("precision"));
-  opts.backend = parse_parallel_backend(cli.get_string("backend"));
   opts.resilience = resilience_from_flags(cli);
 
   const TuckerResult r = tucker_hooi(t, opts);
@@ -428,49 +385,23 @@ int cmd_complete(int argc, const char* const* argv) {
   cli.add("lr", "0.02", "SGD learning rate");
   cli.add("decay", "0.01",
           "SGD learning-rate decay: lr / (1 + decay * epoch)");
-  cli.add("threads", "0", "threads (0 = all)");
-  cli.add("schedule", "weighted",
-          "slice scheduling policy static|weighted|dynamic|workstealing");
-  cli.add("chunk", "16",
-          "dynamic/workstealing chunk target (claims per thread)");
-  cli.add("kernels", "fixed",
-          "inner-loop variant: fixed (rank-specialized SIMD) | generic");
-  cli.add("precision", "f64",
-          "value-stream precision: f64 | f32 | mixed (fp32 value reads, "
-          "fp64 updates)");
   cli.add("seed", "23", "seed");
-  cli.add("backend", parallel_backend_name(default_parallel_backend()),
-          "parallel backend: omp | pool (persistent std::thread "
-          "workers; composes across concurrent runs)");
+  add_exec_flags(cli);
   add_resilience_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
+  CompletionOptions opts{start_exec(cli)};
   SPTD_CHECK(!cli.positional().empty(), "complete: need a tensor file");
   const SparseTensor t = load(cli.positional().front());
   const auto [train, test] = split_train_test(
       t, cli.get_double("holdout"),
       static_cast<std::uint64_t>(cli.get_int("seed")));
 
-  CompletionOptions opts;
   opts.algorithm = parse_completion_algorithm(cli.get_string("alg"));
   opts.rank = static_cast<idx_t>(cli.get_int("rank"));
   opts.max_iterations = static_cast<int>(cli.get_int("iters"));
   opts.regularization = cli.get_double("reg");
   opts.learn_rate = cli.get_double("lr");
   opts.decay = cli.get_double("decay");
-  opts.nthreads = static_cast<int>(cli.get_int("threads"));
-  if (opts.nthreads <= 0) opts.nthreads = hardware_threads();
-  opts.schedule = parse_schedule_policy(cli.get_string("schedule"));
-  opts.chunk_target = static_cast<int>(cli.get_int("chunk"));
-  SPTD_CHECK(opts.chunk_target >= 1,
-             "complete: --chunk must be >= 1 (claims per thread)");
-  {
-    const std::string k = cli.get_string("kernels");
-    SPTD_CHECK(k == "fixed" || k == "generic",
-               "complete: --kernels must be fixed|generic");
-    opts.use_fixed_kernels = (k == "fixed");
-  }
-  opts.precision = parse_precision(cli.get_string("precision"));
-  opts.backend = parse_parallel_backend(cli.get_string("backend"));
   opts.resilience = resilience_from_flags(cli);
   const std::uint64_t steals_before = work_steal_count();
   const CompletionResult r = complete_tensor(train, &test, opts);

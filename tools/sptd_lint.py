@@ -25,6 +25,15 @@ CI instead of waiting for a reviewer to remember it. The rules:
                         it is a vectorization hint with no runtime
                         interaction. (Benches and tests may use raw
                         threads; the rule scans src/ only.)
+  backend-mutation      set_parallel_backend( in src/ outside
+                        src/parallel/. The backend is a process
+                        property fixed at startup (CLI/bench --backend,
+                        SPTD_BACKEND, a harness or test fixture);
+                        library code that switches it changes the
+                        backend under every concurrent run and under
+                        lock pools already built for the old one.
+                        Drivers check their options' stamp instead
+                        (validate_exec).
   std-function-hot-path std::function in src/la/, src/mttkrp/, or
                         src/parallel/. A type-erased call in the kernel
                         hot path defeats inlining and allocates;
@@ -127,6 +136,7 @@ WIDE_ACCESSOR_RE = re.compile(r"(\.|->)f(ids|ptr)\s*\(")
 OMP_RE = re.compile(r"\bomp_[a-z_]+\s*\(|#\s*pragma\s+omp\b")
 OMP_SIMD_RE = re.compile(r"#\s*pragma\s+omp\s+simd\b")
 STD_FUNCTION_RE = re.compile(r"\bstd::function\b")
+BACKEND_SET_RE = re.compile(r"\bset_parallel_backend\s*\(")
 # std::this_thread does not match: after "std::" the pattern requires
 # "thread" or "jthread" immediately.
 STD_THREAD_RE = re.compile(r"\bstd::j?thread\b")
@@ -159,6 +169,12 @@ def lint_sources(root):
                 "raw std::thread outside src/parallel: spawn teams "
                 "through parallel_region so the backend seam "
                 "(parallel/backend.hpp) stays in charge",
+                findings)
+            scan_pattern(
+                root, rel, lines, "backend-mutation", BACKEND_SET_RE,
+                "set_parallel_backend outside src/parallel: the backend "
+                "is fixed at startup; check the options' stamp with "
+                "validate_exec instead",
                 findings)
         if (in_dir(rel, "src/la") or in_dir(rel, "src/mttkrp")
                 or in_dir(rel, "src/parallel")):
@@ -230,6 +246,7 @@ def lint(root):
 EXPECTED_FIXTURE_FINDINGS = {
     ("wide-accessor", "src/mttkrp/fixture_contracts.cpp"): 2,
     ("omp-outside-parallel", "src/la/fixture_hot_path.cpp"): 3,
+    ("backend-mutation", "src/cpd/fixture_driver.cpp"): 1,
     ("std-function-hot-path", "src/la/fixture_hot_path.cpp"): 1,
     ("std-function-hot-path", "src/parallel/fixture_context.cpp"): 1,
     ("unaligned-value-array", "src/csf/fixture_storage.cpp"): 2,
