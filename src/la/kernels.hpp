@@ -408,12 +408,13 @@ decltype(auto) dispatch_width(idx_t width, Fn&& fn) {
 /// registers across the fiber — this is the single hottest loop of CP-ALS.
 ///
 /// The index streams of every fiber loop below are generic indexables
-/// (`Fids fids` with fids[x] -> integer): a raw pointer of any width from
-/// a compressed-CSF level view, or a width-erased stream ref. Passing the
-/// stored narrow type is what halves the index bandwidth of these loops
-/// on compressed tensors. The value stream (`vals`) and factor rows are
-/// the StoreT side of the precision axis; the accumulator row `cs` is the
-/// AccumT side (products are widened to AccumT before accumulating).
+/// (`Fids fids` with fids[x] -> integer): the MTTKRP passes the CSF's
+/// width-erased stream refs, which read the compressed layout's narrow
+/// stored widths, so these loops stream the compressed index bytes
+/// without being compiled once per width. The value stream (`vals`) and
+/// factor rows are the StoreT side of the precision axis; the accumulator
+/// row `cs` is the AccumT side (products are widened to AccumT before
+/// accumulating).
 template <idx_t R, typename AccumT, typename S, typename Fids>
 inline void fiber_accum_r(AccumT* SPTD_RESTRICT cs,
                           const S* SPTD_RESTRICT vals,

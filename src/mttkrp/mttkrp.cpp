@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <type_traits>
 
 #include "common/aligned.hpp"
 #include "parallel/partition.hpp"
@@ -122,67 +123,37 @@ PrivateBuffers& MttkrpWorkspace::privatized(idx_t rows) {
 namespace {
 
 // ---------------------------------------------------------------------
-// CSF index views: which integer types the kernels stream.
+// CSF index view: the streams every kernel walks.
 //
 // The compressed CSF stores each level's index streams at the narrowest
-// width that covers it (csf.hpp). The kernels below are templated on a
-// view V so the per-nonzero streams — the leaf fid array and the deepest
-// fptr array, which together carry nearly all index bytes — are walked at
-// their stored width with typed loads. The small upper-level streams (one
-// read per fiber or per root slice) go through the width-erased stream
-// refs, whose predictable 3-way switch is noise next to the factor-row
-// gathers. mttkrp_csf_exec selects the view instantiation once per kernel
-// launch, exactly like it selects the kernel width and sync strategy.
+// width that covers it (csf.hpp). The kernels read every stream through
+// the width-erased refs, whose switch on the stored width is perfectly
+// predictable within a launch. The per-nonzero streams — the leaf fid
+// array and the deepest fptr array — get their own fields so the leaf
+// loops hoist them. One view serves every launch: instantiating the
+// kernels per stored (leaf fid, deepest fptr) width pair makes this
+// file's object text four times larger (7.0 MB against 1.7 MB) to save
+// ~3% (f64) to ~5% (mixed) of 1-thread MTTKRP time (yelp preset at scale
+// 0.1, rank 35, best of 400 sweeps on a 4-vCPU x86 box).
 // ---------------------------------------------------------------------
 
-template <typename LeafFids, typename DeepFptr>
 struct CsfView {
-  LeafFids leaf{};          ///< fids at level order-1, one entry per nnz
-  DeepFptr deep_fptr{};     ///< fptr at level order-2 (indexes nonzeros)
-  std::array<FidStreamRef, kMaxOrder> fids{};   ///< width-erased, per level
-  std::array<PtrStreamRef, kMaxOrder> fptr{};   ///< width-erased, 0..order-2
+  FidStreamRef leaf;        ///< fids at level order-1, one entry per nnz
+  PtrStreamRef deep_fptr;   ///< fptr at level order-2 (indexes nonzeros)
+  std::array<FidStreamRef, kMaxOrder> fids{};   ///< per level
+  std::array<PtrStreamRef, kMaxOrder> fptr{};   ///< levels 0..order-2
 };
 
-template <typename T>
-const T* typed_fid_stream(const CsfTensor& csf, int level) {
-  const FidStreamRef s = csf.fid_stream(level);
-  SPTD_CHECK(s.width == sizeof(T), "typed_fid_stream: width mismatch");
-  return static_cast<const T*>(s.base);
-}
-
-template <typename T>
-const T* typed_ptr_stream(const CsfTensor& csf, int level) {
-  const PtrStreamRef s = csf.ptr_stream(level);
-  SPTD_CHECK(s.width == sizeof(T), "typed_ptr_stream: width mismatch");
-  return static_cast<const T*>(s.base);
-}
-
-template <typename FidT, typename PtrT>
-CsfView<const FidT*, const PtrT*> make_typed_view(const CsfTensor& csf) {
-  CsfView<const FidT*, const PtrT*> view;
-  const int order = csf.order();
-  view.leaf = typed_fid_stream<FidT>(csf, order - 1);
-  view.deep_fptr = typed_ptr_stream<PtrT>(csf, order - 2);
-  const CsfStreamRefs refs = csf.stream_refs();
-  view.fids = refs.fids;
-  view.fptr = refs.fptr;
-  return view;
-}
-
-CsfView<FidStreamRef, PtrStreamRef> make_erased_view(const CsfTensor& csf) {
-  CsfView<FidStreamRef, PtrStreamRef> view;
+CsfView make_view(const CsfTensor& csf) {
   const int order = csf.order();
   const CsfStreamRefs refs = csf.stream_refs();
-  view.fids = refs.fids;
-  view.fptr = refs.fptr;
-  view.leaf = view.fids[static_cast<std::size_t>(order - 1)];
-  view.deep_fptr = view.fptr[static_cast<std::size_t>(order - 2)];
-  return view;
+  return {refs.fids[static_cast<std::size_t>(order - 1)],
+          refs.fptr[static_cast<std::size_t>(order - 2)], refs.fids,
+          refs.fptr};
 }
 
 /// lower_bound over an index stream (the tiled kernel's tile narrowing).
-template <typename S>
-nnz_t stream_lower_bound(S s, nnz_t lo, nnz_t hi, idx_t value) {
+nnz_t stream_lower_bound(FidStreamRef s, nnz_t lo, nnz_t hi, idx_t value) {
   while (lo < hi) {
     const nnz_t mid = lo + (hi - lo) / 2;
     if (s[mid] < value) {
@@ -204,8 +175,8 @@ nnz_t stream_lower_bound(S s, nnz_t lo, nnz_t hi, idx_t value) {
 // staying visible. FixedKern<R> is the optimized path: pointer access,
 // compile-time trip count, restrict + 64-byte-aligned primitives from
 // la/kernels.hpp. selected_kernel_width() decides which bundle runs.
-// Index-stream parameters (Fids / the view V) are generic indexables so
-// one bundle serves every storage width.
+// Index streams arrive as width-erased refs (the CsfView above), so one
+// bundle serves every storage width.
 //
 // Both bundles carry the precision axis as (StoreT, AccumT) template
 // parameters, defaulted to (val_t, val_t) so f64 runs see the identical
@@ -235,9 +206,8 @@ struct GenericKern {
   }
 
   /// cs += sum over x in [begin, end) of vals[x] * F(fids[x], :)
-  template <typename Fids>
   static void fiber_accum(AccumT* cs, std::span<const StoreT> vals,
-                          Fids fids, nnz_t begin,
+                          FidStreamRef fids, nnz_t begin,
                           nnz_t end, const StoreMat& f, idx_t rank) {
     for (nnz_t x = begin; x < end; ++x) {
       leaf_accum(cs, f, fids[x], vals[x], rank);
@@ -307,10 +277,9 @@ struct GenericKern {
   /// dst += fl(i, :) ⊙ (sum of the bottom fiber [begin, end)) — the seed
   /// sequence: zero the scratch row, accumulate the fiber into it,
   /// multiply-accumulate into dst.
-  template <typename Fids>
   static void pullup_hadamard(AccumT* dst, const StoreMat& fl, idx_t i,
                               std::span<const StoreT> vals,
-                              Fids fids, nnz_t begin,
+                              FidStreamRef fids, nnz_t begin,
                               nnz_t end, const StoreMat& leaf, AccumT* cs,
                               idx_t rank) {
     std::memset(cs, 0, static_cast<std::size_t>(rank) * sizeof(AccumT));
@@ -320,10 +289,9 @@ struct GenericKern {
 
   /// dst = path ⊙ (sum of the bottom fiber [begin, end)) — the internal
   /// kernel's leaf case, seed sequence.
-  template <typename Fids>
   static void pullup_mul(AccumT* dst, const AccumT* path,
                          std::span<const StoreT> vals,
-                         Fids fids, nnz_t begin, nnz_t end,
+                         FidStreamRef fids, nnz_t begin, nnz_t end,
                          const StoreMat& leaf, AccumT* cs, idx_t rank) {
     std::memset(cs, 0, static_cast<std::size_t>(rank) * sizeof(AccumT));
     fiber_accum(cs, vals, fids, begin, end, leaf, rank);
@@ -347,9 +315,8 @@ struct GenericKern {
 
   /// fiber[r] = sum of the bottom fiber [begin, end) — the internal
   /// kernel's pull-up half, seed sequence (zero + accumulate in memory).
-  template <typename Fids>
   static void fiber_sum(AccumT* fiber, std::span<const StoreT> vals,
-                        Fids fids, nnz_t begin, nnz_t end,
+                        FidStreamRef fids, nnz_t begin, nnz_t end,
                         const StoreMat& leaf, idx_t rank) {
     std::memset(fiber, 0, static_cast<std::size_t>(rank) * sizeof(AccumT));
     fiber_accum(fiber, vals, fids, begin, end, leaf, rank);
@@ -373,11 +340,11 @@ struct GenericKern {
   /// One third-order internal-kernel fiber: sum the bottom fiber into the
   /// scratch row, multiply by the path, deposit through the sink — the
   /// seed sequence.
-  template <typename Sink, typename Fids>
+  template <typename Sink>
   static void internal_fiber3(const Sink& sink, idx_t out_row,
                               const AccumT* path,
                               std::span<const StoreT> vals,
-                              Fids fids, nnz_t begin,
+                              FidStreamRef fids, nnz_t begin,
                               nnz_t end, nnz_t /*prefetch_horizon*/,
                               const StoreMat& leaf, AccumT* cs,
                               AccumT* tmp, idx_t rank) {
@@ -392,8 +359,7 @@ struct GenericKern {
 
   /// One third-order root slice into the acc row: seed sequence, one
   /// pull-up per child fiber with the accumulator in memory.
-  template <typename V>
-  static void root_slice3(AccumT* acc, const V& view,
+  static void root_slice3(AccumT* acc, const CsfView& view,
                           std::span<const StoreT> vals,
                           const StoreMat& f1, const StoreMat& f2,
                           nnz_t c0, nnz_t c1, AccumT* cs, idx_t rank) {
@@ -427,9 +393,8 @@ struct FixedKern {
     la::kern::axpy_r<R>(cs, f.row_ptr(i), static_cast<AccumT>(v));
   }
 
-  template <typename Fids>
   static void fiber_accum(AccumT* cs, std::span<const StoreT> vals,
-                          Fids fids, nnz_t begin,
+                          FidStreamRef fids, nnz_t begin,
                           nnz_t end, const StoreMat& f, idx_t) {
     la::kern::fiber_accum_r<R>(cs, vals.data(), fids, begin, end,
                                f.data(), f.ld());
@@ -465,10 +430,9 @@ struct FixedKern {
     la::kern::add_r<R>(dst, vec);
   }
 
-  template <typename Fids>
   static void pullup_hadamard(AccumT* dst, const StoreMat& fl, idx_t i,
                               std::span<const StoreT> vals,
-                              Fids fids, nnz_t begin,
+                              FidStreamRef fids, nnz_t begin,
                               nnz_t end, const StoreMat& leaf, AccumT*,
                               idx_t) {
     la::kern::fiber_pullup_hadamard_r<R, AccumT>(
@@ -476,10 +440,9 @@ struct FixedKern {
         leaf.ld(), end);
   }
 
-  template <typename Fids>
   static void pullup_mul(AccumT* dst, const AccumT* path,
                          std::span<const StoreT> vals,
-                         Fids fids, nnz_t begin, nnz_t end,
+                         FidStreamRef fids, nnz_t begin, nnz_t end,
                          const StoreMat& leaf, AccumT*, idx_t) {
     la::kern::fiber_pullup_mul_r<R, AccumT>(dst, path, vals.data(), fids,
                                             begin, end, leaf.data(),
@@ -497,9 +460,8 @@ struct FixedKern {
     la::kern::axpy_r<R>(dst, vec, static_cast<AccumT>(v));
   }
 
-  template <typename Fids>
   static void fiber_sum(AccumT* fiber, std::span<const StoreT> vals,
-                        Fids fids, nnz_t begin, nnz_t end,
+                        FidStreamRef fids, nnz_t begin, nnz_t end,
                         const StoreMat& leaf, idx_t) {
     std::memset(fiber, 0, R * sizeof(AccumT));
     la::kern::fiber_accum_r<R>(fiber, vals.data(), fids, begin, end,
@@ -520,11 +482,11 @@ struct FixedKern {
   /// Fused third-order internal fiber: the fiber sum stays in registers
   /// and lands directly on the (sink-resolved) output row — no scratch
   /// traffic at all.
-  template <typename Sink, typename Fids>
+  template <typename Sink>
   static void internal_fiber3(const Sink& sink, idx_t out_row,
                               const AccumT* path,
                               std::span<const StoreT> vals,
-                              Fids fids, nnz_t begin,
+                              FidStreamRef fids, nnz_t begin,
                               nnz_t end, nnz_t prefetch_horizon,
                               const StoreMat& leaf, AccumT* cs,
                               AccumT* /*tmp*/, idx_t rank) {
@@ -554,8 +516,7 @@ struct FixedKern {
   }
 
   /// Fully register-blocked third-order root slice.
-  template <typename V>
-  static void root_slice3(AccumT* acc, const V& view,
+  static void root_slice3(AccumT* acc, const CsfView& view,
                           std::span<const StoreT> vals,
                           const StoreMat& f1, const StoreMat& f2,
                           nnz_t c0, nnz_t c1, AccumT*, idx_t) {
@@ -674,10 +635,10 @@ struct ThreadPrivSink {
 // Kernel context: CSF arrays + factors arranged by tree level.
 // ---------------------------------------------------------------------
 
-template <typename V, typename StoreT = val_t>
+template <typename StoreT>
 struct KernelCtx {
   const CsfTensor* csf;
-  V view;
+  CsfView view;
   /// The value stream the kernels read: csf->vals() under f64, the fp32
   /// copy under f32/mixed. Kernels never touch csf->vals() directly.
   std::span<const StoreT> vals;
@@ -1092,7 +1053,7 @@ void run_kernel(const Ctx& ctx, const Sink& sink, int out_level,
   }
 }
 
-/// Strategy dispatch for one kernel bundle + view.
+/// Strategy dispatch for one kernel bundle.
 template <typename K, typename Ctx>
 void dispatch_strategy(const Ctx& ctx, la::Matrix& out,
                        int out_mode, int out_level, SyncStrategy strategy,
@@ -1134,62 +1095,6 @@ void dispatch_strategy(const Ctx& ctx, la::Matrix& out,
       break;
     }
   }
-}
-
-/// Index-width dispatch for one kernel bundle: selects the typed view the
-/// CSF's stored widths admit, once per kernel launch. The per-nonzero
-/// streams (leaf fids, deepest fptr) are the dispatch key; every other
-/// stream rides the width-erased refs. kNarrowViews gates the narrow
-/// instantiations: the fast bundles (FixedKern, generic pointer) get
-/// them, the slice/2d ablation bundles run wide-typed or erased to keep
-/// their instantiation count (and compile time) down.
-template <typename K, bool kNarrowViews, typename StoreT>
-void dispatch_views(const CsfTensor& csf,
-                    std::span<const StoreT> vals,
-                    std::vector<const la::MatrixT<StoreT>*> factor_at_level,
-                    idx_t rank, la::Matrix& out, int out_mode,
-                    int out_level, SyncStrategy strategy,
-                    const SliceSchedule& slices,
-                    std::span<const nnz_t> tile_bounds,
-                    MttkrpWorkspace& ws) {
-  const auto run = [&](auto view) {
-    KernelCtx<decltype(view), StoreT> ctx{&csf, std::move(view), vals,
-                                          std::move(factor_at_level), rank,
-                                          &ws};
-    dispatch_strategy<K>(ctx, out, out_mode, out_level, strategy, slices,
-                         tile_bounds, ws);
-  };
-  const int order = csf.order();
-  const int fw = csf.fid_width(order - 1);
-  const int pw = csf.ptr_width(order - 2);
-  if constexpr (kNarrowViews) {
-    if (fw == 1 && pw == 2) {
-      run(make_typed_view<std::uint8_t, std::uint16_t>(csf));
-      return;
-    }
-    if (fw == 2 && pw == 2) {
-      run(make_typed_view<std::uint16_t, std::uint16_t>(csf));
-      return;
-    }
-    if (fw == 2 && pw == 4) {
-      run(make_typed_view<std::uint16_t, std::uint32_t>(csf));
-      return;
-    }
-    if (fw == 4 && pw == 4) {
-      run(make_typed_view<std::uint32_t, std::uint32_t>(csf));
-      return;
-    }
-  }
-  if (fw == 4 && pw == 8) {
-    // The wide layout always lands here; compressed tensors whose leaf
-    // streams happen to be full-width do too.
-    run(make_typed_view<std::uint32_t, std::uint64_t>(csf));
-    return;
-  }
-  // Remaining width pairs (mixed-tier leaves/fptrs that no typed view
-  // covers, e.g. u8 leaves with u32 fptrs) run the erased view — correct
-  // for every combination, with a predictable per-access width switch.
-  run(make_erased_view(csf));
 }
 
 /// Refreshes one fp32 factor shadow from its fp64 master (parallel row
@@ -1295,114 +1200,54 @@ void mttkrp_csf_exec(const CsfTensor& csf,
     }
   }
 
-  const auto dispatch = [&]<typename K, bool kNarrow, typename StoreT>(
-                            std::vector<const la::MatrixT<StoreT>*> fal,
-                            std::span<const StoreT> vals) {
-    dispatch_views<K, kNarrow>(csf, vals, std::move(fal), rank, out, mode,
-                               level, strategy, slices, tile_bounds, ws);
+  const CsfView view = make_view(csf);
+  const auto run = [&]<typename K>(
+                       std::vector<const la::MatrixT<typename K::Store>*> fal,
+                       std::span<const typename K::Store> vals) {
+    const KernelCtx<typename K::Store> ctx{&csf, view, vals, std::move(fal),
+                                           rank, &ws};
+    dispatch_strategy<K>(ctx, out, mode, level, strategy, slices,
+                         tile_bounds, ws);
   };
-  const auto dispatch_f64 = [&]<typename K, bool kNarrow>() {
-    dispatch.operator()<K, kNarrow>(std::move(factor_at_level),
-                                    csf.vals());
-  };
-  const auto dispatch_f32 = [&]<typename K, bool kNarrow>() {
-    dispatch.operator()<K, kNarrow>(std::move(shadow_at_level), vals32);
+  // The pointer bundles: width 0 is the generic runtime-rank loop, every
+  // other width its fixed-width instantiation (40 is the padded width of
+  // ranks 33-39, where the paper's default rank 35 lands).
+  const auto run_pointer = [&]<typename StoreT, typename AccumT>(
+                               std::vector<const la::MatrixT<StoreT>*> fal,
+                               std::span<const StoreT> vals) {
+    la::kern::dispatch_width(kernel_width, [&](auto wc) {
+      constexpr idx_t kW = decltype(wc)::value;
+      using K = std::conditional_t<kW == 0,
+                                   GenericKern<PointerAccess, StoreT, AccumT>,
+                                   FixedKern<kW, StoreT, AccumT>>;
+      run.operator()<K>(std::move(fal), vals);
+    });
   };
 
   switch (ws.options().row_access) {
     case RowAccess::kSlice:
-      dispatch_f64.operator()<GenericKern<SliceAccess>, false>();
+      run.operator()<GenericKern<SliceAccess>>(std::move(factor_at_level),
+                                               csf.vals());
       break;
     case RowAccess::kIndex2D:
-      dispatch_f64.operator()<GenericKern<Index2DAccess>, false>();
+      run.operator()<GenericKern<Index2DAccess>>(std::move(factor_at_level),
+                                                 csf.vals());
       break;
     case RowAccess::kPointer:
-      if (prec == Precision::kMixed) {
-        // fp32 streams, fp64 accumulators. The fixed-width bundles keep
-        // their narrow-index instantiations (this is the production
-        // bandwidth-saving mode); the generic fallback runs erased/wide.
-        switch (kernel_width) {
-          case 4:
-            dispatch_f32.operator()<FixedKern<4, float, val_t>, true>();
-            break;
-          case 8:
-            dispatch_f32.operator()<FixedKern<8, float, val_t>, true>();
-            break;
-          case 16:
-            dispatch_f32.operator()<FixedKern<16, float, val_t>, true>();
-            break;
-          case 32:
-            dispatch_f32.operator()<FixedKern<32, float, val_t>, true>();
-            break;
-          case 40:
-            dispatch_f32.operator()<FixedKern<40, float, val_t>, true>();
-            break;
-          case 64:
-            dispatch_f32.operator()<FixedKern<64, float, val_t>, true>();
-            break;
-          default:
-            dispatch_f32
-                .operator()<GenericKern<PointerAccess, float, val_t>,
-                            false>();
-            break;
-        }
-        break;
-      }
-      if (prec == Precision::kF32) {
-        // fp32 streams AND fp32 accumulators — the ablation endpoint.
-        // Runs erased/wide index views to bound the instantiation count
-        // (the FixedKern fast paths still engage; only the narrow-index
-        // variants are skipped).
-        switch (kernel_width) {
-          case 4:
-            dispatch_f32.operator()<FixedKern<4, float, float>, false>();
-            break;
-          case 8:
-            dispatch_f32.operator()<FixedKern<8, float, float>, false>();
-            break;
-          case 16:
-            dispatch_f32.operator()<FixedKern<16, float, float>, false>();
-            break;
-          case 32:
-            dispatch_f32.operator()<FixedKern<32, float, float>, false>();
-            break;
-          case 40:
-            dispatch_f32.operator()<FixedKern<40, float, float>, false>();
-            break;
-          case 64:
-            dispatch_f32.operator()<FixedKern<64, float, float>, false>();
-            break;
-          default:
-            dispatch_f32
-                .operator()<GenericKern<PointerAccess, float, float>,
-                            false>();
-            break;
-        }
-        break;
-      }
-      switch (kernel_width) {
-        case 4:
-          dispatch_f64.operator()<FixedKern<4>, true>();
+      switch (prec) {
+        case Precision::kF64:
+          run_pointer.operator()<val_t, val_t>(std::move(factor_at_level),
+                                               csf.vals());
           break;
-        case 8:
-          dispatch_f64.operator()<FixedKern<8>, true>();
+        case Precision::kMixed:
+          // fp32 streams, fp64 accumulators.
+          run_pointer.operator()<float, val_t>(std::move(shadow_at_level),
+                                               vals32);
           break;
-        case 16:
-          dispatch_f64.operator()<FixedKern<16>, true>();
-          break;
-        case 32:
-          dispatch_f64.operator()<FixedKern<32>, true>();
-          break;
-        case 40:
-          // The padded width for ranks 33-39 (the paper's default rank 35
-          // lands here): rows span exactly 40 lanes with zero padding.
-          dispatch_f64.operator()<FixedKern<40>, true>();
-          break;
-        case 64:
-          dispatch_f64.operator()<FixedKern<64>, true>();
-          break;
-        default:
-          dispatch_f64.operator()<GenericKern<PointerAccess>, true>();
+        case Precision::kF32:
+          // fp32 streams AND fp32 accumulators — the ablation endpoint.
+          run_pointer.operator()<float, float>(std::move(shadow_at_level),
+                                               vals32);
           break;
       }
       break;

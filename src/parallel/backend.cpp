@@ -33,10 +33,8 @@ std::atomic<int> g_backend_kind{-1};
 class OmpBackend final : public ParallelBackend {
  public:
   void run_team(int nthreads, detail::TeamBodyRef body) override {
-    // Idempotent; guarantees OMP_WAIT_POLICY=passive is latched before
-    // libgomp spins up its pool even if the caller skipped
-    // hardware_threads() (every CLI/bench path already funnels through
-    // it, so this is belt-and-braces, not a behavior change).
+    // Idempotent; applies the team-size settings even if the caller
+    // skipped hardware_threads().
     init_parallel_runtime();
 #pragma omp parallel num_threads(nthreads)
     { body(omp_get_thread_num(), omp_get_num_threads()); }
@@ -180,9 +178,7 @@ class PoolBackend final : public ParallelBackend {
   [[nodiscard]] int team_rank() const override { return tls_pool_tid; }
 
   int max_threads() override {
-    // Same query as the omp backend (honors OMP_NUM_THREADS), and the
-    // same ordering contract: init_parallel_runtime() latches the wait
-    // policy before this first OpenMP call.
+    // Same query as the omp backend (honors OMP_NUM_THREADS).
     init_parallel_runtime();
     return omp_get_max_threads();
   }

@@ -9,18 +9,17 @@
 ///
 ///  * omp  — the reference implementation: one
 ///           `#pragma omp parallel num_threads(n)` per region, libgomp's
-///           persistent worker pool, OMP_WAIT_POLICY=passive latched by
-///           init_parallel_runtime() before the first OpenMP call
-///           (team.cpp owns that ordering contract). The default, and
-///           behavior-identical to the pre-backend tree.
+///           persistent worker pool, whose idle wait follows the
+///           OMP_WAIT_POLICY the process was launched with. The
+///           default, and behavior-identical to the pre-backend tree.
 ///  * pool — a persistent std::thread worker pool owned by this module.
 ///           A region of n "team slots" (tids) is published to the pool;
 ///           the submitting thread and any idle workers claim tids from a
 ///           shared cursor until all n have run. Workers spin briefly
 ///           between regions, then park on a per-worker cache-line-padded
-///           futex word (std::atomic wait/notify) — the same
-///           passive-wait contract the omp backend gets from
-///           OMP_WAIT_POLICY=passive. Exact team sizes are honored:
+///           futex word (std::atomic wait/notify) — what the omp
+///           backend does only under OMP_WAIT_POLICY=passive. Exact
+///           team sizes are honored:
 ///           body(tid, n) runs once for every tid in [0, n), with tids
 ///           multiplexed onto however many runners are actually free.
 ///
@@ -87,8 +86,7 @@ class ParallelBackend {
 
   /// Team-size default for "use all threads" (hardware_threads()). Both
   /// backends honor OMP_NUM_THREADS so thread sweeps mean the same thing
-  /// regardless of backend; querying runs init_parallel_runtime() first,
-  /// preserving the wait-policy-before-first-OpenMP-call ordering.
+  /// regardless of backend; querying runs init_parallel_runtime() first.
   virtual int max_threads() = 0;
 };
 

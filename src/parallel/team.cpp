@@ -1,7 +1,5 @@
 #include "parallel/team.hpp"
 
-#include <cstdlib>
-
 #include <omp.h>
 
 #include "common/error.hpp"
@@ -12,11 +10,7 @@ namespace sptd {
 int hardware_threads() {
   // Routed through the active backend. Both backends answer with
   // omp_get_max_threads() (so OMP_NUM_THREADS means the same thing
-  // everywhere) and both call init_parallel_runtime() first: querying
-  // OpenMP initializes libgomp, which latches OMP_WAIT_POLICY forever —
-  // the runtime setup (which sets that env var) must win the race.
-  // Before this ordering existed, every CLI path that sized its team
-  // from hardware_threads() silently lost the passive-wait mitigation.
+  // everywhere) after init_parallel_runtime().
   return active_parallel_backend().max_threads();
 }
 
@@ -25,15 +19,13 @@ void init_parallel_runtime() {
   // iterations before sleeping). On oversubscribed machines the spinning
   // workers of a finished phase steal cycles from the next one — exactly
   // the Qthreads/OpenMP interference the paper diagnoses in Section V-E
-  // and mitigates with QT_SPINCOUNT=300. Prefer parked idle workers; a
-  // user-set OMP_WAIT_POLICY wins (overwrite=0). Only effective when the
-  // setenv happens before the OpenMP runtime initializes, so this runs
-  // once, before the first omp_* call of the process (hardware_threads()
-  // and every other entry point funnel through here first). The pool
-  // backend preserves the same ordering: its max_threads() query and the
-  // omp backend's team launch both pass through here first.
+  // and mitigates with QT_SPINCOUNT=300. The OpenMP counterpart is
+  // OMP_WAIT_POLICY=passive, and it cannot be set from here: libgomp
+  // reads its environment in a load-time constructor, before main, so a
+  // setenv in the process changes nothing. Whatever launches the process
+  // sets it (the ctest registrations in CMakeLists.txt do); the pool
+  // backend parks idle workers on its own.
   static const bool once = [] {
-    setenv("OMP_WAIT_POLICY", "passive", /*overwrite=*/0);
     omp_set_dynamic(0);
     // Nested parallelism is never used by the kernels; benches sweep team
     // sizes explicitly. Keeping nesting off avoids accidental explosion

@@ -16,19 +16,16 @@
 
 namespace sptd {
 
-/// Returns the number of hardware threads OpenMP reports available.
-/// Calls init_parallel_runtime() first: querying OpenMP initializes its
-/// runtime, which latches OMP_WAIT_POLICY, so the passive-wait setup must
-/// win the race. Callers may treat this as a plain query.
+/// Returns the number of hardware threads OpenMP reports available
+/// (after init_parallel_runtime()).
 int hardware_threads();
 
-/// One-time runtime initialization: sets OMP_WAIT_POLICY=passive (unless
-/// the user already set it) and disables dynamic thread adjustment so that
-/// requested team sizes are honored exactly (needed for the paper's thread
-/// sweeps, which oversubscribe small machines). The wait-policy half is
-/// only effective if this runs before any other OpenMP call initializes
-/// the runtime — hardware_threads() guarantees that ordering. Safe to call
-/// often; only the first call does work.
+/// One-time runtime initialization: disables dynamic thread adjustment so
+/// that requested team sizes are honored exactly (needed for the paper's
+/// thread sweeps, which oversubscribe small machines) and turns nested
+/// parallelism off. It does not touch OMP_WAIT_POLICY: libgomp reads that
+/// before main, so passive waiting must be requested by whatever launches
+/// the process. Safe to call often; only the first call does work.
 void init_parallel_runtime();
 
 /// Runs \p body on a team of exactly \p nthreads workers.

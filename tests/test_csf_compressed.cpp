@@ -1,7 +1,7 @@
 // Tests for the adaptive-width compressed CSF layer: per-level width
-// selection (including the u8/u16 and u16/u32 boundary dims), typed level
-// views, byte accounting, and compressed-vs-wide equivalence of MTTKRP,
-// CP-ALS, and Tucker across ranks, schedules, and sync strategies.
+// selection (including the u8/u16 and u16/u32 boundary dims), byte
+// accounting, and compressed-vs-wide equivalence of MTTKRP (across ranks,
+// schedules, sync strategies and precisions), CP-ALS, and Tucker.
 
 #include <gtest/gtest.h>
 
@@ -136,23 +136,6 @@ TEST(CsfCompressed, ToCooRoundTripsAcrossBoundaryDims) {
   }
 }
 
-TEST(CsfCompressed, TypedLevelViewMatchesErasedAccessors) {
-  SparseTensor t = make_tensor({100, 300, 50000}, 2000, 15);
-  const auto order = csf_mode_order(t.dims(), -1);  // {0, 1, 2}
-  sort_tensor_perm(t, order, 1);
-  const CsfTensor csf(t, order);
-  ASSERT_EQ(csf.fid_width(0), 1);
-  ASSERT_EQ(csf.ptr_width(0), 2);
-  const auto view = csf.level_view<std::uint8_t, std::uint16_t>(0);
-  ASSERT_EQ(view.nfibers, csf.nfibers(0));
-  for (nnz_t f = 0; f < view.nfibers; ++f) {
-    EXPECT_EQ(static_cast<idx_t>(view.fids[f]), csf.fid(0, f));
-    EXPECT_EQ(static_cast<nnz_t>(view.fptr[f]), csf.ptr(0, f));
-  }
-  // Width mismatch is an error, not a garbage view.
-  EXPECT_THROW((csf.level_view<std::uint32_t, std::uint16_t>(0)), Error);
-}
-
 TEST(CsfCompressed, SetReportsLayoutAndShrinks) {
   SparseTensor tc = make_tensor({80, 200, 900}, 6000, 16);
   SparseTensor tw = tc;
@@ -187,11 +170,12 @@ TEST(CsfCompressed, StatsReportPerLevelWidthsAndBytes) {
 
 // --------------------------------------------- MTTKRP equivalence sweeps
 
-/// Runs the mode-m MTTKRP over both layouts of the same tensor and
-/// expects agreement within kTol.
+/// Runs every mode's MTTKRP over both layouts of the same tensor, under
+/// each precision, and expects agreement within kTol. Only the index
+/// types differ between the layouts, so even the fp32 streams must agree:
+/// the leftover difference is the fp64 deposit order of multi-thread runs.
 void expect_layout_equivalence(const SparseTensor& base, idx_t rank,
-                               const MttkrpOptions& opts,
-                               const std::string& what,
+                               MttkrpOptions opts, const std::string& what,
                                CsfPolicy policy = CsfPolicy::kOneMode) {
   // One-mode policy by default so the sweep exercises all three kernel
   // levels (root, internal, leaf — the tiling strategy needs a leaf).
@@ -206,16 +190,21 @@ void expect_layout_equivalence(const SparseTensor& base, idx_t rank,
   for (int m = 0; m < base.order(); ++m) {
     factors.push_back(la::Matrix::random(base.dim(m), rank, rng));
   }
-  MttkrpWorkspace ws_c(opts, rank, base.order());
-  MttkrpWorkspace ws_w(opts, rank, base.order());
-  for (int m = 0; m < base.order(); ++m) {
-    la::Matrix out_c(base.dim(m), rank);
-    la::Matrix out_w(base.dim(m), rank);
-    mttkrp(comp, factors, m, out_c, ws_c);
-    mttkrp(wide, factors, m, out_w, ws_w);
-    EXPECT_EQ(ws_c.last_strategy, ws_w.last_strategy) << what;
-    expect_matrix_near(out_c, out_w, kTol,
-                       what + " mode " + std::to_string(m));
+  for (const auto prec :
+       {Precision::kF64, Precision::kMixed, Precision::kF32}) {
+    opts.precision = prec;
+    const std::string tag = what + " " + precision_name(prec);
+    MttkrpWorkspace ws_c(opts, rank, base.order());
+    MttkrpWorkspace ws_w(opts, rank, base.order());
+    for (int m = 0; m < base.order(); ++m) {
+      la::Matrix out_c(base.dim(m), rank);
+      la::Matrix out_w(base.dim(m), rank);
+      mttkrp(comp, factors, m, out_c, ws_c);
+      mttkrp(wide, factors, m, out_w, ws_w);
+      EXPECT_EQ(ws_c.last_strategy, ws_w.last_strategy) << tag;
+      expect_matrix_near(out_c, out_w, kTol,
+                         tag + " mode " + std::to_string(m));
+    }
   }
 }
 
@@ -256,8 +245,8 @@ TEST(CsfCompressedMttkrp, MatchesWideAcrossRanksSchedulesSyncs) {
 }
 
 TEST(CsfCompressedMttkrp, MatchesWideUnderGenericRowAccess) {
-  // The slice/2d ablation bundles run the width-erased view on
-  // compressed tensors; they must still agree with wide exactly.
+  // The generic bundles of all three row-access idioms must agree with
+  // wide too (slice/2d always run f64, whatever the precision).
   const SparseTensor base = make_tensor({40, 300, 500}, 4000, 22, 0.7);
   for (const auto ra :
        {RowAccess::kSlice, RowAccess::kIndex2D, RowAccess::kPointer}) {
@@ -272,14 +261,11 @@ TEST(CsfCompressedMttkrp, MatchesWideUnderGenericRowAccess) {
 }
 
 TEST(CsfCompressedMttkrp, MatchesWideOnBoundaryWidthTensors) {
-  // Straddles every fid cutoff; small nnz keeps the deepest fptr at u16,
-  // so the erased-view fallback is what executes for compressed.
+  // Straddles every fid cutoff; small nnz keeps the deepest fptr at u16.
   const SparseTensor boundary = make_tensor({255, 256, 65536}, 3000, 23);
-  // Large-nnz tensor: leaf fids u16, deepest fptr u32 — the typed
-  // (u16, u32) fast path.
+  // Large-nnz tensor: leaf fids u16, deepest fptr u32.
   const SparseTensor tall = make_tensor({30, 100, 500}, 70000, 24);
-  // Large-dim + large-nnz: leaf fids u32, deepest fptr u32 — the typed
-  // (u32, u32) fast path.
+  // Large-dim + large-nnz: leaf fids u32, deepest fptr u32.
   const SparseTensor huge = make_tensor({20, 50, 70000}, 70000, 25);
   for (const SparseTensor* t : {&boundary, &tall, &huge}) {
     for (const idx_t rank : {8u, 16u}) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -18,22 +17,6 @@ namespace sptd {
 namespace {
 
 // ------------------------------------------------------------------ team
-
-TEST(Team, HardwareThreadsAppliesWaitPolicyFirst) {
-  // hardware_threads() queries OpenMP, which latches OMP_WAIT_POLICY at
-  // runtime initialization — so it must run init_parallel_runtime()
-  // (which installs "passive") first. This is the paper's Section V-E
-  // idle-interference mitigation; before the ordering fix, every CLI
-  // path that sized its team from hardware_threads() silently lost it.
-  if (std::getenv("OMP_WAIT_POLICY") != nullptr &&
-      std::string(std::getenv("OMP_WAIT_POLICY")) != "passive") {
-    GTEST_SKIP() << "user-set OMP_WAIT_POLICY wins by design";
-  }
-  EXPECT_GE(hardware_threads(), 1);
-  const char* policy = std::getenv("OMP_WAIT_POLICY");
-  ASSERT_NE(policy, nullptr);
-  EXPECT_STREQ(policy, "passive");
-}
 
 TEST(Team, SingleThreadRunsInline) {
   int calls = 0;

@@ -26,6 +26,19 @@ cmake -B "$BUILD_DIR" -S .
 echo "== build (-j$JOBS) =="
 cmake --build "$BUILD_DIR" -j"$JOBS"
 
+echo "== MTTKRP object size guard (text <= 2.5 MB) =="
+# The MTTKRP translation unit instantiates every kernel bundle (widths x
+# precisions x sync sinks x kernel levels); it was 7.0 MB of text while
+# the kernels were also instantiated per CSF index width, and ~1.7 MB
+# after. A new template axis must show up here, not slip in unnoticed.
+MTTKRP_OBJ="$BUILD_DIR/CMakeFiles/sptd.dir/src/mttkrp/mttkrp.cpp.o"
+MTTKRP_TEXT="$(size --format=berkeley "$MTTKRP_OBJ" | awk 'NR == 2 {print $1}')"
+echo "ci: mttkrp.cpp.o text = $MTTKRP_TEXT bytes"
+if [ "$MTTKRP_TEXT" -gt 2500000 ]; then
+  echo "ci: mttkrp.cpp.o text exceeds 2.5 MB" >&2
+  exit 1
+fi
+
 echo "== clang-tidy gate =="
 # Zero-findings gate over the curated .clang-tidy profile, using the
 # compile database the configure step just exported. On machines with no
