@@ -8,8 +8,10 @@
 /// CP-ALS fit each precision reaches against the f64 baseline — the
 /// number the `mixed` mode's accuracy contract is gated on (fp32 streams
 /// with fp64 accumulation should track f64 to ~1e-6 while moving the
-/// same bytes as pure f32).
+/// same bytes as pure f32). The sweep time is the min over --trials
+/// samples, reported with its spread (max - min).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -42,18 +44,32 @@ int main(int argc, char** argv) {
   const CsfSet set(work, CsfPolicy::kTwoMode, nthreads, nullptr,
                    SortVariant::kAllOpts, exec.csf_layout);
 
-  std::printf("# %d thread(s); seconds for %d MTTKRP sweeps; fit after "
-              "%d CP-ALS iterations\n", nthreads, iters, iters);
-  std::printf("%-8s %12s %14s %12s %14s\n", "prec", "seconds", "values",
-              "fit", "|fit - f64|");
-  double f64_fit = 0.0;
-  for (const auto p :
-       {Precision::kF64, Precision::kF32, Precision::kMixed}) {
-    MttkrpOptions mo{exec};
-    mo.nthreads = nthreads;
-    mo.precision = p;
-    const double secs = time_mttkrp_sweeps(set, factors, rank, mo, iters);
+  const int trials = static_cast<int>(cli.get_int("trials"));
+  const Precision precisions[] = {Precision::kF64, Precision::kF32,
+                                  Precision::kMixed};
+  // Trials interleave the precisions round-robin, so drift in the box's
+  // load hits every precision alike; each reports its min and spread.
+  std::vector<double> secs_min(std::size(precisions), 0.0);
+  std::vector<double> secs_max(std::size(precisions), 0.0);
+  for (int trial = 0; trial < trials; ++trial) {
+    for (std::size_t i = 0; i < std::size(precisions); ++i) {
+      MttkrpOptions mo{exec};
+      mo.nthreads = nthreads;
+      mo.precision = precisions[i];
+      const double s = time_mttkrp_sweeps(set, factors, rank, mo, iters);
+      secs_min[i] = trial == 0 ? s : std::min(secs_min[i], s);
+      secs_max[i] = trial == 0 ? s : std::max(secs_max[i], s);
+    }
+  }
 
+  std::printf("# %d thread(s); seconds for %d MTTKRP sweeps (min and "
+              "max - min over %d trials); fit after %d CP-ALS "
+              "iterations\n", nthreads, iters, trials, iters);
+  std::printf("%-8s %12s %10s %14s %12s %14s\n", "prec", "seconds",
+              "spread", "values", "fit", "|fit - f64|");
+  double f64_fit = 0.0;
+  for (std::size_t i = 0; i < std::size(precisions); ++i) {
+    const Precision p = precisions[i];
     CpalsOptions co{exec};
     co.rank = rank;
     co.max_iterations = iters;
@@ -68,9 +84,11 @@ int main(int argc, char** argv) {
       f64_fit = fit;  // first in the sweep: the accuracy baseline
     }
     const double gap = std::abs(fit - f64_fit);
+    const double spread = secs_max[i] - secs_min[i];
 
-    std::printf("%-8s %12.4f %14s %12.8f %14.3e\n", precision_name(p),
-                secs, format_bytes(r.value_bytes).c_str(), fit, gap);
+    std::printf("%-8s %12.4f %10.4f %14s %12.8f %14.3e\n",
+                precision_name(p), secs_min[i], spread,
+                format_bytes(r.value_bytes).c_str(), fit, gap);
     emit_json_record(cli, "ablation_precision",
                      bench::JsonRecord()
                          .field("precision", precision_name(p))
@@ -81,7 +99,8 @@ int main(int argc, char** argv) {
                                 static_cast<std::int64_t>(r.value_bytes))
                          .field("fit", fit)
                          .field("fit_gap_vs_f64", gap)
-                         .field("seconds", secs));
+                         .field("seconds", secs_min[i])
+                         .field("seconds_spread", spread));
   }
   return 0;
 }

@@ -232,6 +232,26 @@ double time_mttkrp_sweeps(const CsfSet& set,
   return timer.seconds();
 }
 
+bool apply_splatt_sync_rule(const CsfSet& set, MttkrpOptions& opts) {
+  int locked = 0;
+  int non_root = 0;
+  for (int m = 0; m < set.order(); ++m) {
+    int level = 0;
+    const CsfTensor& csf = set.csf_for_mode(m, level);
+    if (level == 0) {
+      continue;
+    }
+    const double replica_rows =
+        static_cast<double>(csf.dims()[static_cast<std::size_t>(m)]) *
+        opts.nthreads;
+    ++non_root;
+    locked += replica_rows > 0.02 * static_cast<double>(csf.nnz()) ? 1 : 0;
+  }
+  opts.force_locks = locked > 0;
+  opts.privatization_threshold = 1e18;
+  return locked == 0 || locked == non_root;
+}
+
 RoutineTimers run_cpals_trials(const SparseTensor& tensor,
                                const CpalsOptions& opts, int trials) {
   {

@@ -91,6 +91,18 @@ double time_mttkrp_sweeps(const CsfSet& set,
                           idx_t rank, const MttkrpOptions& opts, int iters,
                           std::string* strategies = nullptr);
 
+/// Applies SPLATT's published privatize-or-lock rule (paper Section
+/// V-D2: mode m privatizes iff nthreads * dims[m] <= 0.02 * nnz) to
+/// \p opts at its nthreads: force_locks when the rule locks some non-root
+/// mode of \p set, forced privatization otherwise. This is the regime
+/// behind the paper's "YELP locks beyond 2 threads"; the library weighs
+/// costs instead (choose_sync_strategy). The options hold one choice for
+/// all modes, so the result is SPLATT's own per mode only when the rule
+/// treats every non-root mode alike; returns whether it did (always so
+/// for a TwoMode set of a third-order tensor, which has one non-root
+/// mode).
+bool apply_splatt_sync_rule(const CsfSet& set, MttkrpOptions& opts);
+
 /// Runs CP-ALS \p trials times with the given options on copies of
 /// \p tensor and returns the per-routine timer table averaged over trials.
 RoutineTimers run_cpals_trials(const SparseTensor& tensor,

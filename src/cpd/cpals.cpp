@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -147,19 +148,20 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
   };
   refresh_grams();
 
-  // The execution knobs carry over whole; the sync/row-access choices
-  // are CP-ALS options of the same name.
-  MttkrpOptions mopts{options};
-  mopts.row_access = options.row_access;
-  mopts.lock_kind = options.lock_kind;
-  mopts.privatization_threshold = options.privatization_threshold;
-  mopts.force_locks = options.force_locks;
-  mopts.allow_privatization = options.allow_privatization;
+  // The execution and sync knobs carry over whole.
+  const MttkrpOptions mopts{options, options};
   // All scheduling decisions — representation/level per mode, sync
   // strategy, slice bounds, tile boundaries, reduction buffers — are
   // frozen here; the iteration loop below is pure execution.
   MttkrpPlan plan(csf_set, rank, mopts);
 
+  // One MTTKRP output buffer per mode, swapped with the factor after each
+  // solve: the sweep allocates nothing (plan.execute zeroes its output).
+  std::vector<la::Matrix> outs;
+  outs.reserve(static_cast<std::size_t>(order));
+  for (int m = 0; m < order; ++m) {
+    outs.emplace_back(dims[static_cast<std::size_t>(m)], rank);
+  }
   la::Matrix v(rank, rank);
   la::Matrix fit_m;  // last mode's MTTKRP output, kept for the fit
   // Per-thread fit scratch, allocated once for the whole run (the fit is
@@ -174,10 +176,9 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
   hooks.sweep = [&](int it) {
     for (int m = 0; m < order; ++m) {
       la::Matrix& factor = model.factors[static_cast<std::size_t>(m)];
-      const idx_t m_dim = dims[static_cast<std::size_t>(m)];
+      la::Matrix& out_view = outs[static_cast<std::size_t>(m)];
 
       // M = X_(m) (A_{N-1} ⊙ ... ⊙ A_{m+1} ⊙ A_{m-1} ⊙ ... ) — MTTKRP.
-      la::Matrix out_view(m_dim, rank);
       timers.start(Routine::kMttkrp);
       plan.execute(model.factors, m, out_view);
       timers.stop(Routine::kMttkrp);
@@ -213,7 +214,7 @@ CpalsResult cp_als_csf(const CsfSet& csf_set, val_t tensor_norm_sq,
           }
         });
       }
-      factor = std::move(out_view);
+      std::swap(factor, out_view);
 
       // Column normalization (lines 6/9/12): 2-norm first iteration,
       // max-norm afterwards (SPLATT's scheme).

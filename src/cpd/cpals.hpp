@@ -18,13 +18,14 @@
 namespace sptd {
 
 /// All knobs of a CP-ALS run: the shared execution knobs
-/// (common/exec_config.hpp) plus the solver's own. Defaults match
+/// (common/exec_config.hpp), the MTTKRP sync knobs (SyncConfig, handed to
+/// the run's MttkrpPlan whole) plus the solver's own. Defaults match
 /// SPLATT's defaults and the reference implementation's code paths.
 /// Under f32/mixed precision the factor masters stay fp64 for mixed (fits
 /// match f64 within 1e-6 on the smoke fixtures); f32 also accumulates in
 /// fp32 and rounds each updated factor through fp32 (fits within 1e-3).
 /// Solves, norms, Grams, and the fit always run fp64.
-struct CpalsOptions : ExecConfig {
+struct CpalsOptions : ExecConfig, SyncConfig {
   idx_t rank = 10;
   int max_iterations = 50;
   /// Stop when the fit improves by less than this between iterations.
@@ -34,11 +35,6 @@ struct CpalsOptions : ExecConfig {
 
   CsfPolicy csf_policy = CsfPolicy::kTwoMode;
   SortVariant sort_variant = SortVariant::kAllOpts;
-  RowAccess row_access = RowAccess::kPointer;
-  LockKind lock_kind = LockKind::kOmp;
-  double privatization_threshold = 0.02;
-  bool force_locks = false;
-  bool allow_privatization = true;
 
   /// Compute the fit every iteration even when tolerance == 0 (the fit is
   /// one of the paper's timed routines, so the default keeps it on).

@@ -154,7 +154,7 @@ DistResult run_dist_loop(const LoopConfig& cfg, DistTransport& tr) {
   // Each locale is serial (locale-level parallelism is the process/locale
   // grid itself, not intra-locale threading; dist_cp_als holds nthreads
   // at 1), with its own CSF set and execution plan.
-  const MttkrpOptions mopts{options};
+  const MttkrpOptions mopts{options, SyncConfig{}};
   std::vector<std::unique_ptr<CsfSet>> sets(nlocales);
   std::vector<std::unique_ptr<MttkrpPlan>> plans(nlocales);
   auto build_plan = [&](std::size_t l) {

@@ -53,7 +53,7 @@ idx_t selected_kernel_width(idx_t rank, const MttkrpOptions& opts) {
 }
 
 SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
-                                  nnz_t nnz, const MttkrpOptions& opts) {
+                                  nnz_t row_writes, const MttkrpOptions& opts) {
   g_choose_sync_strategy_calls.fetch_add(1, std::memory_order_relaxed);
   if (level == 0 || opts.nthreads == 1) {
     return SyncStrategy::kNone;
@@ -68,15 +68,23 @@ SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
     return SyncStrategy::kTile;
   }
   if (opts.allow_privatization) {
-    const double replicated =
+    // R replica rows to zero and reduce against W locked row writes.
+    const double replica_rows =
         static_cast<double>(dims[static_cast<std::size_t>(out_mode)]) *
         static_cast<double>(opts.nthreads);
-    if (replicated <= opts.privatization_threshold *
-                          static_cast<double>(nnz)) {
+    if (replica_rows <=
+        opts.privatization_threshold * static_cast<double>(row_writes)) {
       return SyncStrategy::kPrivatize;
     }
   }
   return SyncStrategy::kLock;
+}
+
+SyncStrategy choose_sync_strategy(const CsfTensor& csf, int out_mode,
+                                  const MttkrpOptions& opts) {
+  const int level = csf.level_of_mode(out_mode);
+  return choose_sync_strategy(csf.dims(), out_mode, level,
+                              csf.nfibers(level), opts);
 }
 
 MttkrpWorkspace::MttkrpWorkspace(const MttkrpOptions& opts, idx_t rank,
@@ -1258,8 +1266,7 @@ void mttkrp_csf(const CsfTensor& csf, const std::vector<la::Matrix>& factors,
                 int mode, la::Matrix& out, MttkrpWorkspace& ws) {
   const MttkrpOptions& opts = ws.options();
   const int level = csf.level_of_mode(mode);
-  const SyncStrategy strategy = choose_sync_strategy(
-      csf.dims(), mode, level, csf.nnz(), opts);
+  const SyncStrategy strategy = choose_sync_strategy(csf, mode, opts);
   const SliceSchedule slices(opts.schedule, csf.nfibers(0),
                              csf.root_nnz_prefix(), opts.nthreads,
                              static_cast<nnz_t>(opts.chunk_target));

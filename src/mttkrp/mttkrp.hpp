@@ -13,10 +13,17 @@
 ///   * internal — conflicting writes: mutex pool or privatized buffers
 ///   * leaf     — conflicting writes at the deepest level: same choice
 ///
-/// The privatize-or-lock decision is SPLATT's heuristic: privatize mode m
-/// iff dims[m] * nthreads <= privatization_threshold * nnz (default 0.02).
-/// This is what makes the paper's YELP runs lock beyond 2 threads while
-/// NELL-2 never locks (Section V-D2).
+/// The privatize-or-lock decision weighs, for mode m at level l of the
+/// CSF being walked (choose_sync_strategy),
+///   R = nthreads * dims[m]   replica rows privatization zeroes and
+///                            reduces, against
+///   W = csf.nfibers(l)       row writes the locked kernel makes (one
+///                            lock each; nnz at the leaf),
+/// and privatizes iff R <= privatization_threshold * W. Neither count
+/// depends on the index layout. SPLATT's published constant (privatize
+/// iff R <= 0.02 * nnz, which makes the paper's YELP runs lock beyond 2
+/// threads, Section V-D2) lives in the figure benches that reproduce it,
+/// not here.
 
 #include <memory>
 #include <string>
@@ -46,25 +53,35 @@ enum class SyncStrategy : int {
 /// Name for logs/benches: "none" / "lock" / "privatize" / "tile".
 const char* sync_strategy_name(SyncStrategy s);
 
-/// MTTKRP tuning knobs (the paper's studied axes): the shared execution
-/// knobs (common/exec_config.hpp) plus the sync and row-access choices.
-/// Under f32/mixed the pointer row-access kernels stream fp32 factor-row
-/// shadows and values (the slice/2d ablation policies always run f64);
-/// the output matrix is fp64 under every precision. csf_layout matters
-/// to whoever builds the CsfSet and is recorded in bench JSON; the
-/// kernels read the widths off each CsfTensor.
-struct MttkrpOptions : ExecConfig {
+/// The synchronization and row-access knobs (the paper's studied sync
+/// axes), declared once: MttkrpOptions and CpalsOptions both inherit
+/// them, so a CP-ALS run hands them to its MTTKRP plan whole.
+struct SyncConfig {
   RowAccess row_access = RowAccess::kPointer;
   LockKind lock_kind = LockKind::kOmp;
-  /// SPLATT's privatization threshold: privatize mode m iff
-  /// dims[m] * nthreads <= privatization_threshold * nnz.
-  double privatization_threshold = 0.02;
+  /// The scale t of the privatize-or-lock rule: privatize mode m iff
+  /// nthreads * dims[m] <= t * W (see the file comment). 0 always locks;
+  /// a huge value (1e18) always privatizes. 0.5 is the measured
+  /// crossover: on sparse 3-mode tensors (rank 35, 2 and 4 threads of a
+  /// 4-vCPU Xeon) locks won most shapes above R/W = 0.5 and privatization
+  /// most below it.
+  double privatization_threshold = 0.5;
   /// Force lock use even where privatization would be chosen (Figure 4
   /// sweeps lock kinds and needs the locked path exercised).
   bool force_locks = false;
   /// Disable privatization AND locks is invalid; disabling privatization
   /// alone falls back to locks.
   bool allow_privatization = true;
+};
+
+/// MTTKRP tuning knobs: the shared execution knobs
+/// (common/exec_config.hpp), the sync knobs, and tiling. Under f32/mixed
+/// the pointer row-access kernels stream fp32 factor-row shadows and
+/// values (the slice/2d ablation policies always run f64); the output
+/// matrix is fp64 under every precision. csf_layout matters to whoever
+/// builds the CsfSet and is recorded in bench JSON; the kernels read the
+/// widths off each CsfTensor.
+struct MttkrpOptions : ExecConfig, SyncConfig {
   /// SPLATT's tiling alternative (the feature the paper's port omitted):
   /// for *leaf* kernels, partition the output mode into per-thread tiles;
   /// each thread re-walks the whole forest but deposits only leaves in
@@ -83,10 +100,19 @@ struct MttkrpOptions : ExecConfig {
 /// else 0 (generic runtime-rank loops).
 idx_t selected_kernel_width(idx_t rank, const MttkrpOptions& opts);
 
-/// Decides the sync strategy SPLATT would use for an MTTKRP writing
-/// \p out_mode at tree level \p level of a CSF with \p nnz nonzeros.
+/// Decides how an MTTKRP writing \p out_mode at tree level \p level
+/// synchronizes: none at the root or on one thread; else forced locks,
+/// leaf tiling, or privatize iff nthreads * dims[out_mode] <=
+/// privatization_threshold * \p row_writes (the walked CSF's
+/// nfibers(level)), else lock.
 SyncStrategy choose_sync_strategy(const dims_t& dims, int out_mode, int level,
-                                  nnz_t nnz, const MttkrpOptions& opts);
+                                  nnz_t row_writes, const MttkrpOptions& opts);
+
+/// The same decision with the level and W read off \p csf, the
+/// representation the mode is walked in: what MttkrpPlan and the planless
+/// mttkrp_csf both call, so the two always agree.
+SyncStrategy choose_sync_strategy(const CsfTensor& csf, int out_mode,
+                                  const MttkrpOptions& opts);
 
 /// Process-wide count of choose_sync_strategy() calls (monotonic). Like
 /// weighted_partition_calls(): strategy choice is plan-construction work,
@@ -162,9 +188,10 @@ class MttkrpWorkspace {
 };
 
 /// Computes the mode-\p mode MTTKRP over a CSF set into \p out
-/// (dims[mode] x rank). Selects representation, kernel level, and sync
-/// strategy exactly as SPLATT does; applies the workspace's row-access
-/// policy inside the kernels. \p out is zeroed first.
+/// (dims[mode] x rank). Selects representation and kernel level exactly
+/// as SPLATT does and the sync strategy by choose_sync_strategy; applies
+/// the workspace's row-access policy inside the kernels. \p out is zeroed
+/// first.
 void mttkrp(const CsfSet& csf_set, const std::vector<la::Matrix>& factors,
             int mode, la::Matrix& out, MttkrpWorkspace& ws);
 

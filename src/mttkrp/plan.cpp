@@ -19,8 +19,7 @@ MttkrpPlan::MttkrpPlan(const CsfSet& set, idx_t rank,
     int level = 0;
     mp.csf = &set.csf_for_mode(m, level);
     mp.level = level;
-    mp.strategy = choose_sync_strategy(mp.csf->dims(), m, level,
-                                       mp.csf->nnz(), opts);
+    mp.strategy = choose_sync_strategy(*mp.csf, m, opts);
     mp.slices = SliceSchedule(opts.schedule, mp.csf->nfibers(0),
                               mp.csf->root_nnz_prefix(), opts.nthreads,
                               static_cast<nnz_t>(opts.chunk_target));

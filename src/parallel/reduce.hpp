@@ -6,7 +6,9 @@
 /// to replicate per thread: each worker accumulates into a private copy and
 /// the copies are summed afterwards. This is the "no-lock" path the paper's
 /// NELL-2 runs always take (Section V-D2). The privatize-or-lock decision
-/// itself lives in mttkrp/ (see mttkrp::should_privatize).
+/// itself lives in mttkrp/ (choose_sync_strategy): a bank of nthreads x
+/// rows replicas is chosen while it has no more rows than the locked path
+/// would make row writes.
 ///
 /// Backend note: clear() and reduce_into() launch their strided passes
 /// through parallel_region, so they route through whichever backend

@@ -273,13 +273,13 @@ la::Matrix run_mttkrp(const CsfSet& set, const std::vector<la::Matrix>& f,
   return out;
 }
 
-struct SyncConfig {
+struct SyncCase {
   const char* name;
   bool force_locks;
   double privatization_threshold;
 };
 
-constexpr SyncConfig kSyncConfigs[] = {
+constexpr SyncCase kSyncCases[] = {
     // Force the locked deposits (BackendLock under kOmp).
     {"locks", true, 0.0},
     // Force privatized per-thread buffers + deterministic reduction.
@@ -293,7 +293,7 @@ constexpr SchedulePolicy kPolicies[] = {
 class BackendMttkrpTest : public ::testing::Test {
  protected:
   static MttkrpOptions base_options(int nthreads, SchedulePolicy policy,
-                                    const SyncConfig& sync) {
+                                    const SyncCase& sync) {
     MttkrpOptions opts;
     opts.nthreads = nthreads;
     opts.schedule = policy;
@@ -311,7 +311,7 @@ TEST_F(BackendMttkrpTest, SingleThreadBitwiseAcrossBackends) {
     const CsfSet set(work, CsfPolicy::kTwoMode, 1);
     const auto factors = make_factors(base, rank, 11);
     for (const SchedulePolicy policy : kPolicies) {
-      for (const SyncConfig& sync : kSyncConfigs) {
+      for (const SyncCase& sync : kSyncCases) {
         MttkrpOptions opts = base_options(1, policy, sync);
         for (int mode = 0; mode < base.order(); ++mode) {
           use_backend(opts, ParallelBackendKind::kOmp);
@@ -340,7 +340,7 @@ TEST_F(BackendMttkrpTest, StaticSchedulesPrivatizedBitwiseAtFourThreads) {
     const auto factors = make_factors(base, rank, 13);
     for (const SchedulePolicy policy :
          {SchedulePolicy::kStatic, SchedulePolicy::kWeighted}) {
-      MttkrpOptions opts = base_options(4, policy, kSyncConfigs[1]);
+      MttkrpOptions opts = base_options(4, policy, kSyncCases[1]);
       for (int mode = 0; mode < base.order(); ++mode) {
         use_backend(opts, ParallelBackendKind::kOmp);
         const la::Matrix omp_out =
@@ -366,7 +366,7 @@ TEST_F(BackendMttkrpTest, AllPoliciesAndSyncsMatchAtFourThreads) {
     const CsfSet set(work, CsfPolicy::kTwoMode, 4);
     const auto factors = make_factors(base, rank, 17);
     for (const SchedulePolicy policy : kPolicies) {
-      for (const SyncConfig& sync : kSyncConfigs) {
+      for (const SyncCase& sync : kSyncCases) {
         MttkrpOptions opts = base_options(4, policy, sync);
         for (int mode = 0; mode < base.order(); ++mode) {
           use_backend(opts, ParallelBackendKind::kOmp);

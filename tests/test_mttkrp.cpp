@@ -76,31 +76,66 @@ TEST(ChooseSync, SingleThreadNeverSynchronizes) {
             SyncStrategy::kNone);
 }
 
-TEST(ChooseSync, YelpShapeLocksBeyondTwoThreads) {
-  // The paper's YELP behaviour (Section V-D2): privatized at <= 2 threads,
-  // locks beyond. Mode 0 (41k) is the non-root mode of the TwoMode set.
-  const dims_t yelp = {41000, 11000, 75000};
-  const nnz_t nnz = 8000000;
+// Full-scale YELP (Table I), mode 0 at level 1 of the TwoMode set: about
+// 0.73 level-1 fibers per nonzero, as the preset's scale-0.1 instance
+// measures (586,842 fibers for 800k nonzeros).
+const dims_t kYelp = {41000, 11000, 75000};
+constexpr nnz_t kYelpFibers = 5868420;
+
+SyncStrategy yelp_mode0(const MttkrpOptions& opts) {
+  return choose_sync_strategy(kYelp, 0, 1, kYelpFibers, opts);
+}
+
+TEST(ChooseSync, YelpShapePrivatizesAtThePapersThreadCounts) {
+  // R = 41,000 * nthreads replica rows stay under half the W = 5.87M
+  // locked row writes through 32 threads (1.31M) and pass it by 128
+  // (5.25M). SPLATT's 0.02 * nnz constant (160,000 rows) locked from 4
+  // threads on.
   MttkrpOptions opts;
-  opts.nthreads = 2;
-  EXPECT_EQ(choose_sync_strategy(yelp, 0, 1, nnz, opts),
-            SyncStrategy::kPrivatize);
+  for (const int t : {2, 4, 8, 16, 32}) {
+    opts.nthreads = t;
+    EXPECT_EQ(yelp_mode0(opts), SyncStrategy::kPrivatize) << t << " threads";
+  }
+  opts.nthreads = 128;
+  EXPECT_EQ(yelp_mode0(opts), SyncStrategy::kLock);
+}
+
+TEST(ChooseSync, PrivatizesIffReplicaRowsFitUnderScaledRowWrites) {
+  // 4 threads x 1,000 rows = 4,000 replica rows.
+  const dims_t dims = {1000, 50, 50};
+  MttkrpOptions opts;
   opts.nthreads = 4;
-  EXPECT_EQ(choose_sync_strategy(yelp, 0, 1, nnz, opts),
+  EXPECT_EQ(choose_sync_strategy(dims, 0, 1, 8000, opts),
+            SyncStrategy::kPrivatize);
+  EXPECT_EQ(choose_sync_strategy(dims, 0, 1, 7999, opts),
             SyncStrategy::kLock);
-  opts.nthreads = 32;
-  EXPECT_EQ(choose_sync_strategy(yelp, 0, 1, nnz, opts),
+  opts.privatization_threshold = 1.0;
+  EXPECT_EQ(choose_sync_strategy(dims, 0, 2, 4000, opts),
+            SyncStrategy::kPrivatize);
+  EXPECT_EQ(choose_sync_strategy(dims, 0, 2, 3999, opts),
             SyncStrategy::kLock);
 }
 
+TEST(ChooseSync, ThresholdExtremesForceEachStrategy) {
+  MttkrpOptions opts;
+  opts.nthreads = 4;
+  opts.privatization_threshold = 0.0;
+  EXPECT_EQ(yelp_mode0(opts), SyncStrategy::kLock);
+  opts.privatization_threshold = 1e18;
+  opts.nthreads = 256;
+  EXPECT_EQ(yelp_mode0(opts), SyncStrategy::kPrivatize);
+}
+
 TEST(ChooseSync, Nell2ShapeNeverLocks) {
-  // NELL-2 privatizes at every thread count the paper tested (1-32).
+  // NELL-2 privatizes at every thread count the paper tested (1-32):
+  // R <= 12,000 * 32 = 384,000 rows, and any W above twice that (here a
+  // quarter of its 77M nonzeros) gives the same answer.
   const dims_t nell2 = {12000, 9000, 29000};
   const nnz_t nnz = 77000000;
   MttkrpOptions opts;
   for (const int t : {2, 4, 8, 16, 32}) {
     opts.nthreads = t;
-    EXPECT_EQ(choose_sync_strategy(nell2, 0, 1, nnz, opts),
+    EXPECT_EQ(choose_sync_strategy(nell2, 0, 1, nnz / 4, opts),
               SyncStrategy::kPrivatize)
         << t << " threads";
   }

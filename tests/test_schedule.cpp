@@ -405,8 +405,8 @@ TEST(MttkrpPlan, MatchesPlanlessAcrossStrategiesAndPolicies) {
 
   for (const SchedulePolicy policy : kAllPolicies) {
     for (const int threads : {1, 4}) {
-      // Default heuristic (locks on this shape), forced locks, forced
-      // privatization, and disabled privatization.
+      // The default cost rule, forced locks, forced privatization, and
+      // disabled privatization.
       MttkrpOptions base;
       base.nthreads = threads;
       base.schedule = policy;

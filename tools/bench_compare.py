@@ -92,6 +92,8 @@ DEFAULT_COUNTERS = [
     "checkpoint_time",
     # Wall seconds inside transport collectives: diagnostic, noisy.
     "comm_seconds_measured",
+    # Max - min of a min-over-trials timing: how far to trust it.
+    "seconds_spread",
 ]
 
 # Identity fields: everything a bench may emit that is neither a metric

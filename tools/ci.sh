@@ -275,6 +275,21 @@ echo "== precision smoke: bench_ablation_precision (f64, f32, mixed) =="
   --preset yelp --scale 0.002 --rank 8 --iters 5 \
   --threads-list 2 --json "$SMOKE_JSON"
 
+echo "== sync rule smoke: the default privatizes yelp's non-root modes =="
+# SPLATT's 0.02 * nnz constant locked these modes from 4 threads on; the
+# library rule privatizes while the replica rows stay within the locked
+# row writes. Reads the printed strategies, not a timing, so the check is
+# deterministic.
+PRIV_OUT="$("$BUILD_DIR/bench_ablation_privatization" \
+  --preset yelp --scale 0.01 --iters 2 --threads-list 2,4)"
+DEFAULT_ROW="$(grep -E '^default ' <<< "$PRIV_OUT")" \
+  || { echo "ci: privatization ablation printed no default row" >&2; exit 1; }
+if grep -q lock <<< "$DEFAULT_ROW"; then
+  echo "ci: default sync rule locked: $DEFAULT_ROW" >&2
+  exit 1
+fi
+echo "ci: default sync rule privatizes at 2 and 4 threads"
+
 echo "== oversubscribe smoke: composition scenario (omp vs pool) =="
 # Phase rows plus one concurrent-decompositions row per backend: two
 # whole CP-ALS runs sharing the process, each asking for the sweep's

@@ -179,7 +179,7 @@ int cmd_validate(int argc, const char* const* argv) {
     }
     if (same) ++duplicates;
   }
-  // Empty slices inflate dims and distort the lock heuristic.
+  // Empty slices inflate dims and distort the privatize-or-lock rule.
   nnz_t empty_slices = 0;
   const TensorStats s = compute_stats(t);
   for (const auto& ms : s.modes) {
